@@ -1,6 +1,7 @@
 package geometry
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -37,7 +38,7 @@ func FromPoints(dim int8, pts []Point) IndexSpace {
 	}
 	sorted := make([]Point, len(pts))
 	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	slices.SortFunc(sorted, comparePoints)
 	var spans []Rect
 	run := Rect{sorted[0], sorted[0]}
 	last := int(dim) - 1
@@ -161,7 +162,18 @@ const sweepThreshold = 64
 // constructor and operation maintains the invariant that 1-D span lists are
 // sorted, so the sweep algorithms never re-sort.
 func sortSpans1D(spans []Rect) {
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Lo.X() < spans[j].Lo.X() })
+	slices.SortFunc(spans, func(a, b Rect) int { return cmp.Compare(a.Lo.C[0], b.Lo.C[0]) })
+}
+
+// comparePoints orders points lexicographically, like Point.Less.
+func comparePoints(p, q Point) int {
+	p.mustMatch(q)
+	for i := 0; i < int(p.Dim); i++ {
+		if c := cmp.Compare(p.C[i], q.C[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // sorted1D returns the spans, which are sorted by construction for 1-D
@@ -188,9 +200,24 @@ func (s IndexSpace) Intersect(t IndexSpace) IndexSpace {
 	return IndexSpace{dim: s.dim, spans: spans}
 }
 
+// gallopRatio is the length ratio at which intersect1D stops sweeping both
+// span lists and instead binary-searches the longer one for each span of
+// the shorter (e.g. one piece's few owned spans against the union of every
+// shared span). Balanced inputs keep the linear sweep.
+const gallopRatio = 8
+
 // intersect1D is the sorted-sweep intersection for large 1-D span lists.
+// Both algorithms emit every overlapping pair's intersection in ascending
+// order, so the result does not depend on which one ran.
 func (s IndexSpace) intersect1D(t IndexSpace) IndexSpace {
 	a, b := s.sorted1D(), t.sorted1D()
+	short, long := a, b
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	if len(short)*gallopRatio <= len(long) {
+		return IndexSpace{dim: 1, spans: intersectGallop(short, long)}
+	}
 	var spans []Rect
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -206,6 +233,64 @@ func (s IndexSpace) intersect1D(t IndexSpace) IndexSpace {
 		}
 	}
 	return IndexSpace{dim: 1, spans: spans}
+}
+
+// intersectGallop intersects sorted disjoint 1-D span lists by walking
+// short and binary-searching long for the first span that can overlap each
+// of short's spans.
+func intersectGallop(short, long []Rect) []Rect {
+	var spans []Rect
+	j := 0
+	for _, r := range short {
+		lo, hi := r.Lo.X(), r.Hi.X()
+		j += sort.Search(len(long)-j, func(k int) bool { return long[j+k].Hi.X() >= lo })
+		for k := j; k < len(long) && long[k].Lo.X() <= hi; k++ {
+			spans = append(spans, R1(max64(lo, long[k].Lo.X()), min64(hi, long[k].Hi.X())))
+		}
+	}
+	return spans
+}
+
+// Clipper intersects many index spaces with one fixed clip space. Clip(t)
+// returns exactly t.Intersect(clip), representation included, but a clip
+// with many multi-dimensional spans is indexed by axis-0 extent once, so
+// intersecting a whole partition with it (region.Restrict) costs a few
+// candidate spans per piece instead of every clip span per piece.
+type Clipper struct {
+	clip IndexSpace
+	ix   *xspanIndex // nil when the plain Intersect is as cheap
+	cand []int32
+}
+
+// NewClipper prepares clip for repeated intersection.
+func NewClipper(clip IndexSpace) *Clipper {
+	c := &Clipper{clip: clip}
+	if clip.dim != 1 && len(clip.spans) > xIndexThreshold {
+		c.ix = &xspanIndex{}
+		for i, r := range clip.spans {
+			c.ix.add(int32(i), r)
+		}
+	}
+	return c
+}
+
+// Clip returns t.Intersect(clip). Candidates are visited in clip-list
+// order, so the output spans match the unindexed all-pairs loop exactly.
+func (c *Clipper) Clip(t IndexSpace) IndexSpace {
+	if c.ix == nil {
+		return t.Intersect(c.clip)
+	}
+	t.mustMatch(c.clip)
+	var spans []Rect
+	for _, a := range t.spans {
+		c.cand = c.ix.candidates(c.cand[:0], a.Lo.C[0], a.Hi.C[0])
+		for _, bi := range c.cand {
+			if r := a.Intersect(c.clip.spans[bi]); !r.Empty() {
+				spans = append(spans, r)
+			}
+		}
+	}
+	return IndexSpace{dim: t.dim, spans: spans}
 }
 
 // Overlaps reports whether s and t share at least one point; it short

@@ -1,6 +1,9 @@
 package realm
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestScheduleTriggerAllocs pins the allocation behavior of the DES hot
 // path: once the waiter pool and the pre-sized event table are warm,
@@ -30,6 +33,22 @@ func TestScheduleTriggerAllocs(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("continuations never ran")
+	}
+
+	// Across page boundaries: the event table grows by one fixed page per
+	// 4096 events, so a run of 4096 trips (draining the timers each time)
+	// crosses exactly one boundary and may allocate exactly that page.
+	avg = testing.AllocsPerRun(6, func() {
+		for i := 0; i < 1<<evPageBits; i++ {
+			e := s.NewUserEvent()
+			s.OnTrigger(e, fn)
+			s.After(5, fn)
+			s.Trigger(e)
+		}
+		s.MustRun()
+	})
+	if avg > 1 {
+		t.Errorf("4096 schedule/trigger trips allocate %.2f objects, want at most 1 (one event page)", avg)
 	}
 }
 
@@ -63,5 +82,31 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 		}
 		step()
 		s.MustRun()
+	}
+}
+
+// BenchmarkThreadSwitch measures the cost of one DES thread switch: N
+// threads on N processors each loop on Elapse, so every Elapse parks the
+// calling thread and the next event resumes another one. The reported
+// ns/op is per switch (one Elapse of one thread).
+func BenchmarkThreadSwitch(b *testing.B) {
+	for _, n := range []int{1, 4, 64} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			s := MustNewSim(Config{Nodes: 1, CoresPerNode: n, NetBandwidth: 1, LocalBW: 1})
+			per := b.N / n
+			if per == 0 {
+				per = 1
+			}
+			for i := 0; i < n; i++ {
+				s.Spawn(fmt.Sprintf("t%d", i), s.Node(0).Proc(i), func(th *Thread) {
+					for k := 0; k < per; k++ {
+						th.Elapse(1)
+					}
+				})
+			}
+			b.ResetTimer()
+			s.MustRun()
+		})
 	}
 }

@@ -126,7 +126,7 @@ type Stats struct {
 	InlineCompletions int64
 }
 
-// Sim is the simulator: the event heap, virtual clock, machine state, and
+// Sim is the simulator: the event queue, virtual clock, machine state, and
 // statistics.
 type Sim struct {
 	cfg    Config
@@ -134,16 +134,21 @@ type Sim struct {
 	now    Time
 	seq    int64
 	queue  eventQueue
-	evs    []eventState // index = Event-1
+	evs    eventTable
 	nodes  []*Node
 	stats  Stats
 
 	running     bool
-	strong      int           // count of non-weak queued items
-	activeYield chan struct{} // signaled when the active thread yields
+	strong      int // count of non-weak queued items
 	tracer      *Tracer
 	liveThreads map[*Thread]bool
 	threadSeq   int64 // spawn counter, gives threads a deterministic order
+
+	// runWake hands the scheduler back to Run's goroutine: a thread
+	// goroutine running the event loop sends on it when the queue drains or
+	// when a panic must be re-raised from Run (panicVal). See dispatch.
+	runWake  chan struct{}
+	panicVal interface{}
 
 	// Fault-injection state (nil faults = fault-free run).
 	faults     *FaultPlan
@@ -173,66 +178,124 @@ type eventState struct {
 	waiters   []func()
 }
 
+// evPageBits sizes the pages of the event table: 4096 events per page.
+const evPageBits = 12
+
+// eventTable stores event states in fixed-size pages indexed by
+// Event-1. Pages never move once allocated, so growing the table costs one
+// page allocation per 4096 events instead of the copy-and-clear of a
+// doubling slice, whose pointerful entries the collector would also have to
+// rescan after every copy.
+type eventTable struct {
+	pages []*[1 << evPageBits]eventState
+	n     int // events allocated; handles are 1..n
+}
+
+// get returns the state of handle e (which must not be NoEvent).
+func (t *eventTable) get(e Event) *eventState {
+	i := int(e) - 1
+	return &t.pages[i>>evPageBits][i&(1<<evPageBits-1)]
+}
+
+// grow allocates n more events and returns the first new handle.
+func (t *eventTable) grow(n int) Event {
+	first := Event(t.n + 1)
+	t.n += n
+	for t.n > len(t.pages)<<evPageBits {
+		t.pages = append(t.pages, new([1 << evPageBits]eventState))
+	}
+	return first
+}
+
+// queued is one scheduled item. Exactly one of three kinds: th != nil
+// resumes a simulated thread; fn != nil runs a callback; otherwise it is a
+// body-less work-item completion: at time at, unless failNode has crashed,
+// trigger ev. Completions and resumes are the common cases by far (modeled
+// tasks, Elapse, data movement without an attached body), encoded in plain
+// fields so they cost no closure allocation.
 type queued struct {
-	at  Time
-	seq int64
-	fn  func()
-	// fn == nil marks a body-less work-item completion: at time at, unless
-	// failNode has crashed, trigger ev. The common case by far (modeled
-	// tasks, Elapse, data movement without an attached body), encoded in
-	// plain fields so it costs no closure allocation.
-	ev       Event
+	at       Time
+	seq      int64
+	fn       func()
+	th       *Thread
 	failNode *Node
+	ev       Event
 	weak     bool // weak items do not keep the simulation alive (fault generators)
 }
 
-// eventQueue is a typed 4-ary min-heap ordered by (at, seq). A hand-rolled
-// heap avoids container/heap's interface{} boxing of every element on
-// Push/Pop — the single hottest allocation site of the simulator — and the
-// 4-ary layout halves the tree depth, trading cheap sibling comparisons for
-// expensive cache-missing level hops. (at, seq) is a strict total order
-// (seq increments on every insert), so pop order — and thus the entire
-// simulation — is identical to the old binary heap's.
+// eventQueue holds the pending items in (at, seq) order: a typed 4-ary
+// min-heap plus a FIFO lane for items scheduled at the current time.
+//
+// The heap avoids container/heap's interface{} boxing of every element on
+// Push/Pop, and the 4-ary layout halves the tree depth, trading cheap
+// sibling comparisons for expensive cache-missing level hops.
+//
+// The lane takes every item pushed with at == now — thread resumes, zero-
+// latency continuations, completions of zero-duration work — at O(1) cost.
+// Its contents are already in (at, seq) order: they share one time, seq only
+// grows, and now cannot advance while the lane is non-empty (its head is
+// a candidate at now, and pop takes the minimum). So pop, taking the smaller
+// of the lane head and the heap top, yields exactly the order a single heap
+// would (DESIGN.md §15).
 type eventQueue struct {
-	items []queued
+	heap []queued
+	lane []queued
+	head int // next lane item to pop
 }
 
-func (q *eventQueue) Len() int { return len(q.items) }
-
 // less orders by time, then insertion sequence.
-func (q *eventQueue) less(a, b *queued) bool {
+func less(a, b *queued) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (q *eventQueue) push(it queued) {
-	q.items = append(q.items, it)
-	i := len(q.items) - 1
+// push inserts it; now is the current virtual time.
+func (q *eventQueue) push(it queued, now Time) {
+	if it.at == now {
+		q.lane = append(q.lane, it)
+		return
+	}
+	q.heap = append(q.heap, it)
+	items := q.heap
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q.less(&q.items[i], &q.items[parent]) {
+		if !less(&items[i], &items[parent]) {
 			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		items[i], items[parent] = items[parent], items[i]
 		i = parent
 	}
 }
 
+// pop removes and returns the least item; the queue must be non-empty.
 func (q *eventQueue) pop() queued {
-	items := q.items
+	if q.head < len(q.lane) {
+		l := &q.lane[q.head]
+		if len(q.heap) == 0 || less(l, &q.heap[0]) {
+			it := *l
+			*l = queued{} // release the closure
+			q.head++
+			if q.head == len(q.lane) {
+				q.lane, q.head = q.lane[:0], 0
+			}
+			return it
+		}
+	}
+	items := q.heap
 	top := items[0]
 	n := len(items) - 1
 	items[0] = items[n]
 	items[n] = queued{} // release the closure
-	q.items = items[:n]
+	q.heap = items[:n]
 	q.siftDown(0)
 	return top
 }
 
 func (q *eventQueue) siftDown(i int) {
-	items := q.items
+	items := q.heap
 	n := len(items)
 	for {
 		first := 4*i + 1
@@ -245,11 +308,11 @@ func (q *eventQueue) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if q.less(&items[c], &items[min]) {
+			if less(&items[c], &items[min]) {
 				min = c
 			}
 		}
-		if !q.less(&items[min], &items[i]) {
+		if !less(&items[min], &items[i]) {
 			return
 		}
 		items[i], items[min] = items[min], items[i]
@@ -263,12 +326,13 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Sim{cfg: cfg, policy: ModeledTime{Cfg: cfg}, activeYield: make(chan struct{}), liveThreads: map[*Thread]bool{}}
-	// Pre-size the event table and heap: simulations allocate events at a
-	// furious rate, and starting from a real capacity avoids the first dozen
+	s := &Sim{cfg: cfg, policy: ModeledTime{Cfg: cfg}, runWake: make(chan struct{}), liveThreads: map[*Thread]bool{}}
+	// Pre-size the page list and the queue: simulations allocate events at
+	// a furious rate, and starting from a real capacity avoids the first
 	// grow-and-copy cycles of append.
-	s.evs = make([]eventState, 0, 4096)
-	s.queue.items = make([]queued, 0, 1024)
+	s.evs.pages = make([]*[1 << evPageBits]eventState, 0, 64)
+	s.queue.heap = make([]queued, 0, 1024)
+	s.queue.lane = make([]queued, 0, 256)
 	s.nodes = make([]*Node, cfg.Nodes)
 	for i := range s.nodes {
 		n := &Node{sim: s, id: i}
@@ -306,50 +370,44 @@ func (s *Sim) Node(i int) *Node { return s.nodes[i] }
 // Nodes returns the node count.
 func (s *Sim) Nodes() int { return len(s.nodes) }
 
-// at schedules fn at absolute virtual time t (>= now).
-func (s *Sim) at(t Time, fn func()) {
-	if t < s.now {
-		t = s.now
+// push schedules it, clamping its time to now; strong items keep the
+// simulation alive.
+func (s *Sim) push(it queued) {
+	if it.at < s.now {
+		it.at = s.now
 	}
 	s.seq++
-	s.strong++
-	s.queue.push(queued{at: t, seq: s.seq, fn: fn})
+	it.seq = s.seq
+	if !it.weak {
+		s.strong++
+	}
+	s.queue.push(it, s.now)
 }
+
+// at schedules fn at absolute virtual time t (>= now).
+func (s *Sim) at(t Time, fn func()) { s.push(queued{at: t, fn: fn}) }
 
 // atDone schedules the completion of a body-less work item: at time t,
 // unless n (when non-nil) has failed, ev triggers. Semantically identical
 // to at(t, func() { ... }) but with the closure replaced by plain queue
 // fields — completions are the most common queue entry in a simulation,
 // and this keeps the steady-state hot path allocation-free.
-func (s *Sim) atDone(t Time, n *Node, ev Event) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.strong++
-	s.queue.push(queued{at: t, seq: s.seq, ev: ev, failNode: n})
-}
+func (s *Sim) atDone(t Time, n *Node, ev Event) { s.push(queued{at: t, ev: ev, failNode: n}) }
+
+// atResume schedules thread t to resume at the current virtual time.
+func (s *Sim) atResume(t *Thread) { s.push(queued{at: s.now, th: t}) }
 
 // atWeak schedules fn at absolute time t without keeping the simulation
 // alive: Run exits once only weak items remain. Fault generators are weak —
 // a crash planned for a time the program never reaches must not prevent
 // termination.
-func (s *Sim) atWeak(t Time, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	s.queue.push(queued{at: t, seq: s.seq, fn: fn, weak: true})
-}
+func (s *Sim) atWeak(t Time, fn func()) { s.push(queued{at: t, fn: fn, weak: true}) }
 
 // After schedules fn d nanoseconds from now.
 func (s *Sim) After(d Time, fn func()) { s.at(s.now+d, fn) }
 
 // NewUserEvent creates an untriggered event.
-func (s *Sim) NewUserEvent() Event {
-	s.evs = append(s.evs, eventState{})
-	return Event(len(s.evs))
-}
+func (s *Sim) NewUserEvent() Event { return s.evs.grow(1) }
 
 // ReserveEvents creates n untriggered events with contiguous handles and
 // returns the first; the block is first, first+1, ..., first+n-1. This is
@@ -362,11 +420,7 @@ func (s *Sim) ReserveEvents(n int) Event {
 	if n <= 0 {
 		return NoEvent
 	}
-	first := Event(len(s.evs) + 1)
-	for i := 0; i < n; i++ {
-		s.evs = append(s.evs, eventState{})
-	}
-	return first
+	return s.evs.grow(n)
 }
 
 // Trigger fires a user event; continuations run immediately (at the current
@@ -376,7 +430,7 @@ func (s *Sim) Trigger(e Event) {
 	if e == NoEvent {
 		panic("realm: cannot trigger NoEvent")
 	}
-	st := &s.evs[e-1]
+	st := s.evs.get(e)
 	if st.triggered {
 		panic(fmt.Sprintf("realm: event %d triggered twice", e))
 	}
@@ -394,7 +448,7 @@ func (s *Sim) Trigger(e Event) {
 
 // Triggered reports whether e has fired.
 func (s *Sim) Triggered(e Event) bool {
-	return e == NoEvent || s.evs[e-1].triggered
+	return e == NoEvent || s.evs.get(e).triggered
 }
 
 // OnTrigger runs fn when e fires (immediately if it already has).
@@ -403,7 +457,7 @@ func (s *Sim) OnTrigger(e Event, fn func()) {
 		fn()
 		return
 	}
-	st := &s.evs[e-1]
+	st := s.evs.get(e)
 	if st.waiters == nil {
 		if n := len(s.waiterPool); n > 0 {
 			st.waiters = s.waiterPool[n-1]
@@ -509,24 +563,22 @@ func (e *DeadlockError) Error() string {
 // Run processes events until no strong items remain and all threads have
 // finished, returning the final virtual time. If threads are still blocked
 // when the queue drains, the error is a *DeadlockError naming them and the
-// events they wait on.
+// events they wait on. A panic in an event callback or a thread body
+// propagates out of Run on the caller's goroutine, whichever goroutine was
+// running the event loop when it was raised.
 func (s *Sim) Run() (Time, error) {
 	if s.running {
 		return s.now, fmt.Errorf("realm: Run is not reentrant")
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	for s.strong > 0 {
-		item := s.queue.pop()
-		if !item.weak {
-			s.strong--
-		}
-		s.now = item.at
-		s.stats.Events++
-		if item.fn != nil {
-			item.fn()
-		} else if item.failNode == nil || !item.failNode.failed {
-			s.Trigger(item.ev)
+	if !s.dispatch(nil) {
+		// A thread goroutine took over the event loop; it hands back when
+		// the queue drains or an event callback or thread body panics.
+		<-s.runWake
+		if r := s.panicVal; r != nil {
+			s.panicVal = nil
+			panic(r)
 		}
 	}
 	if len(s.liveThreads) > 0 {
@@ -542,6 +594,67 @@ func (s *Sim) Run() (Time, error) {
 		return s.now, derr
 	}
 	return s.now, nil
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// scheduler: at most one goroutine — Run's or one simulated thread's —
+// holds it at any moment. self is the thread whose goroutine is calling
+// (nil for Run's). The loop pops items in (at, seq) order until one of:
+//
+//   - self's own resume: return true, the thread continues without a switch;
+//   - another thread's resume: pass the scheduler to it with one channel
+//     send (starting its goroutine on first use) and return false;
+//   - the queue drains: return true on Run's goroutine; elsewhere wake Run
+//     and return false.
+//
+// On false the caller gives up the scheduler: a parked thread waits on its
+// resume channel, Run on runWake, a finished thread's goroutine exits. A
+// panic in an event callback on a thread goroutine is caught here and
+// re-raised from Run, so Run's caller sees it on its own goroutine exactly
+// as if the loop had run there; the panicking thread stays parked.
+func (s *Sim) dispatch(self *Thread) (keep bool) {
+	if self != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				s.forwardPanic(r)
+				keep = false
+			}
+		}()
+	}
+	for s.strong > 0 {
+		it := s.queue.pop()
+		if !it.weak {
+			s.strong--
+		}
+		s.now = it.at
+		s.stats.Events++
+		switch {
+		case it.th != nil:
+			if th := it.th; !th.dead { // a retired thread's resume is stale
+				if th == self {
+					return true
+				}
+				th.enter()
+				return false
+			}
+		case it.fn != nil:
+			it.fn()
+		case it.failNode == nil || !it.failNode.failed:
+			s.Trigger(it.ev)
+		}
+	}
+	if self == nil {
+		return true
+	}
+	s.runWake <- struct{}{}
+	return false
+}
+
+// forwardPanic hands the scheduler back to Run's goroutine with r to
+// re-raise there.
+func (s *Sim) forwardPanic(r interface{}) {
+	s.panicVal = r
+	s.runWake <- struct{}{}
 }
 
 // MustRun is Run for simulations known to terminate cleanly (tests,

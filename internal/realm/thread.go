@@ -8,19 +8,23 @@ package realm
 // deterministic and data-race free.
 //
 // A thread interacts with virtual time through Elapse (charge busy time on
-// its processor) and WaitEvent (sleep until an event fires).
+// its processor) and WaitEvent (sleep until an event fires). A thread that
+// parks runs the event loop itself until some thread's resume comes up
+// (see Sim.dispatch), so a switch costs one channel handoff and resuming
+// the parking thread itself costs none.
 type Thread struct {
 	sim       *Sim
 	proc      *Proc
 	name      string
 	id        int64 // spawn order, used for deterministic iteration
+	body      func(*Thread)
 	resume    chan struct{}
+	started   bool  // the goroutine exists (it starts at the first resume)
 	killed    bool  // Kill was requested; unwind at the next scheduling point
-	dead      bool  // goroutine has finished (normally or by kill)
+	dead      bool  // the body has finished (normally or by kill)
 	blockedOn Event // event a WaitEvent is parked on, for deadlock reports
-	// runFn/wakeFn are bound once at spawn so the WaitEvent/wake round trip
-	// — taken on every Elapse of every control thread — allocates nothing.
-	runFn  func()
+	// wakeFn is bound once at spawn so the WaitEvent/wake round trip —
+	// taken on every Elapse of every control thread — allocates nothing.
 	wakeFn func()
 }
 
@@ -45,31 +49,14 @@ func KillSentinel(name string) interface{} { return killPanic{name} }
 
 // Spawn starts fn as a simulated thread bound to proc, beginning at the
 // current virtual time. Spawn may be called before Run or from any running
-// thread or event continuation.
+// thread or event continuation. A panic escaping fn (other than the kill
+// sentinel) is re-raised from Run on its caller's goroutine.
 func (s *Sim) Spawn(name string, proc *Proc, fn func(*Thread)) *Thread {
 	s.threadSeq++
-	t := &Thread{sim: s, proc: proc, name: name, id: s.threadSeq, resume: make(chan struct{})}
-	t.runFn = t.run
+	t := &Thread{sim: s, proc: proc, name: name, id: s.threadSeq, body: fn, resume: make(chan struct{})}
 	t.wakeFn = t.wake
 	s.liveThreads[t] = true
-	//detlint:ignore threads are goroutine-backed coroutines: exactly one runs at a time, handed off through t.resume, so the scheduler fully orders them
-	go func() {
-		<-t.resume // wait for first scheduling
-		func() {
-			defer func() {
-				if r := recover(); r != nil && !IsThreadKilled(r) {
-					panic(r) // real bug: propagate
-				}
-			}()
-			if !t.killed {
-				fn(t)
-			}
-		}()
-		t.dead = true
-		delete(s.liveThreads, t)
-		s.activeYield <- struct{}{} // final yield: thread is done
-	}()
-	s.at(s.now, t.runFn)
+	s.atResume(t)
 	return t
 }
 
@@ -84,22 +71,52 @@ func (s *Sim) Kill(t *Thread) {
 		return
 	}
 	t.killed = true
-	s.at(s.now, t.runFn)
+	s.atResume(t)
 }
 
-// run transfers control to the thread until it yields.
-func (t *Thread) run() {
-	if t.dead {
-		return // stale wake-up of a retired thread
+// enter passes the scheduler to t, whose resume has just been popped: a
+// parked thread is woken on its resume channel; a thread's first resume
+// starts its goroutine.
+func (t *Thread) enter() {
+	if t.started {
+		t.resume <- struct{}{}
+		return
 	}
-	t.resume <- struct{}{}
-	<-t.sim.activeYield
+	t.started = true
+	//detlint:ignore threads are goroutine-backed coroutines: exactly one goroutine holds the scheduler at a time, handed off through t.resume and Sim.runWake, so the scheduler fully orders them
+	go t.run()
 }
 
-// yield returns control to the scheduler and blocks until resumed.
+// run is the thread's goroutine: run the body, retire, then keep running
+// the event loop until the scheduler moves to another goroutine.
+func (t *Thread) run() {
+	s := t.sim
+	var failure interface{}
+	func() {
+		defer func() {
+			if r := recover(); r != nil && !IsThreadKilled(r) {
+				failure = r
+			}
+		}()
+		if !t.killed {
+			t.body(t)
+		}
+	}()
+	t.dead = true
+	t.body = nil
+	delete(s.liveThreads, t)
+	if failure != nil {
+		s.forwardPanic(failure) // a bug in the body: re-raise from Run
+		return
+	}
+	s.dispatch(t)
+}
+
+// yield runs the event loop until the thread is resumed.
 func (t *Thread) yield() {
-	t.sim.activeYield <- struct{}{}
-	<-t.resume
+	if !t.sim.dispatch(t) {
+		<-t.resume
+	}
 	if t.killed {
 		panic(killPanic{t.name})
 	}
@@ -138,7 +155,7 @@ func (t *Thread) wake() {
 	if t.dead || t.killed {
 		return
 	}
-	t.sim.at(t.sim.now, t.runFn)
+	t.sim.atResume(t)
 }
 
 // Elapse charges d of busy time on the thread's processor and advances the

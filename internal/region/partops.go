@@ -292,10 +292,12 @@ func PDifference(name string, a, b *Partition) *Partition {
 // intersected with sub. This is the operator behind the hierarchical
 // private/ghost region trees of §4.5: e.g. restricting the original block
 // partition to the all_private subregion. Disjointness is inherited from p.
+// sub's index space is indexed once for all of p's subregions.
 func Restrict(sub *Region, p *Partition, name string) *Partition {
+	clip := geometry.NewClipper(sub.ispace)
 	subs := make(map[geometry.Point]geometry.IndexSpace, len(p.colors))
 	p.Each(func(c geometry.Point, child *Region) bool {
-		subs[c] = child.ispace.Intersect(sub.ispace)
+		subs[c] = clip.Clip(child.ispace)
 		return true
 	})
 	return sub.newPartition(name, p.colorSpace, subs, p.disjoint, false)

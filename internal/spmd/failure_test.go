@@ -89,6 +89,27 @@ func TestReductionKernelPanicSurfacesAsError(t *testing.T) {
 	}
 }
 
+// TestShardBodyPanicSurfacesAsError: a panic raised on a shard thread
+// itself — here a scalar statement of the replicated loop, which shards
+// evaluate inline — must come back from Run as an error. Shard threads have
+// no recover of their own; the DES forwards the panic out of its event loop
+// to Run's caller.
+func TestShardBodyPanicSurfacesAsError(t *testing.T) {
+	f := progtest.NewScalarSum(32, 4)
+	loop := f.Prog.Stmts[len(f.Prog.Stmts)-1].(*ir.Loop)
+	set := loop.Body[len(loop.Body)-1].(*ir.SetScalar)
+	set.Expr = func(ir.Env) float64 { panic("scalar statement bug") }
+	plans, err := CompileAll(f.Prog, cr.Options{NumShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := realm.MustNewSim(testConfig(2))
+	_, err = New(sim, f.Prog, ir.ExecReal, plans).Run()
+	if err == nil || !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "scalar statement bug") {
+		t.Fatalf("expected the shard panic to surface as an error, got %v", err)
+	}
+}
+
 // runCRFaulty compiles and runs Figure2 under SPMD with a fault plan and
 // recovery settings installed.
 func runCRFaulty(t *testing.T, f *progtest.Figure2, nodes, shards int, fp *realm.FaultPlan, rec Recovery, tr *realm.Tracer) (*Result, error) {

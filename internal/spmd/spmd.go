@@ -173,10 +173,12 @@ func (e *Engine) Run() (*Result, error) {
 	// verify.PlanPrune); neither pass models the other's rewrite, so the
 	// combination executes a schedule nothing has certified. Reject it up
 	// front.
+	both := false
 	for _, plan := range e.Plans {
-		if plan.Opts.Agg && plan.Prune != nil {
-			return nil, fmt.Errorf("spmd: copy aggregation does not compose with certified sync pruning; enable -agg or -prune, not both")
-		}
+		both = both || plan.Opts.Agg && plan.Prune != nil
+	}
+	if both {
+		return nil, fmt.Errorf("spmd: copy aggregation does not compose with certified sync pruning; enable -agg or -prune, not both")
 	}
 	e.global = make(map[*region.Region]*region.Store)
 	if e.Mode == ir.ExecReal {
