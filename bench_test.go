@@ -21,21 +21,15 @@ import (
 // benchNodes is the condensed weak-scaling sweep used by the benchmarks.
 var benchNodes = []int{1, 4, 16, 64, 256, 1024}
 
-func runFigure(b *testing.B, name string, noTrace bool) {
-	runFigureOpts(b, name, noTrace, false, false, false)
+func runFigure(b *testing.B, name string) {
+	runFigureOpts(b, name, false, false)
 }
 
-func runFigureShare(b *testing.B, name string, noTrace, noShare bool) {
-	runFigureOpts(b, name, noTrace, noShare, false, false)
-}
-
-func runFigureOpts(b *testing.B, name string, noTrace, noShare, prune, agg bool) {
+func runFigureOpts(b *testing.B, name string, prune, agg bool) {
 	app, err := harness.AppByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	app.NoTrace = noTrace
-	app.NoShare = noShare
 	app.Prune = prune
 	app.Agg = agg
 	for i := 0; i < b.N; i++ {
@@ -57,7 +51,7 @@ func runFigureOpts(b *testing.B, name string, noTrace, noShare, prune, agg bool)
 
 // BenchmarkFigure6 regenerates Figure 6: Stencil weak scaling (Regent with
 // and without control replication vs the PRK MPI and MPI+OpenMP codes).
-func BenchmarkFigure6Stencil(b *testing.B) { runFigure(b, "stencil", false) }
+func BenchmarkFigure6Stencil(b *testing.B) { runFigure(b, "stencil") }
 
 // BenchmarkFigure6StencilAgg is the coalesced-exchange ablation of
 // Figure 6: the same sweep with aggregation attached to every CR cell
@@ -65,39 +59,26 @@ func BenchmarkFigure6Stencil(b *testing.B) { runFigure(b, "stencil", false) }
 // one-piece-per-shard scale every aggregation group is a singleton, so
 // the printed figure must be byte-identical to BenchmarkFigure6Stencil —
 // coalescing merges messages, never a modeled result at this scale.
-func BenchmarkFigure6StencilAgg(b *testing.B) { runFigureOpts(b, "stencil", false, false, false, true) }
-
-// BenchmarkFigure6StencilNoTrace is the trace ablation of Figure 6: the
-// same sweep with runtime trace capture/replay disabled. The printed
-// figure must be byte-identical to BenchmarkFigure6Stencil (tracing never
-// changes the simulated schedule); only host wall-clock differs.
-func BenchmarkFigure6StencilNoTrace(b *testing.B) { runFigure(b, "stencil", true) }
-
-// BenchmarkFigure6StencilNoShare is the trace-sharing ablation of Figure 6:
-// tracing stays on but every shard captures its own plan (the O(shards)
-// behavior) instead of specializing one shared capture. The printed figure
-// must be byte-identical to BenchmarkFigure6Stencil; only host wall-clock
-// capture work differs.
-func BenchmarkFigure6StencilNoShare(b *testing.B) { runFigureShare(b, "stencil", false, true) }
+func BenchmarkFigure6StencilAgg(b *testing.B) { runFigureOpts(b, "stencil", false, true) }
 
 // BenchmarkFigure7 regenerates Figure 7: MiniAero weak scaling (Regent vs
 // MPI+Kokkos in rank-per-core and rank-per-node configurations).
-func BenchmarkFigure7MiniAero(b *testing.B) { runFigure(b, "miniaero", false) }
+func BenchmarkFigure7MiniAero(b *testing.B) { runFigure(b, "miniaero") }
 
 // BenchmarkFigure8 regenerates Figure 8: PENNANT weak scaling (Regent vs
 // MPI and MPI+OpenMP, with the per-cycle dt allreduce).
-func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant", false) }
+func BenchmarkFigure8PENNANT(b *testing.B) { runFigure(b, "pennant") }
 
 // BenchmarkFigure8PENNANTPrune is the certified-pruning ablation of
 // Figure 8: the same sweep with the redundant-sync prune pass attached to
 // every CR cell (the -prune flag). The printed figure must be
 // byte-identical to BenchmarkFigure8PENNANT — pruning removes sync edges
 // and dead initialization copies, never a modeled result.
-func BenchmarkFigure8PENNANTPrune(b *testing.B) { runFigureOpts(b, "pennant", false, false, true, false) }
+func BenchmarkFigure8PENNANTPrune(b *testing.B) { runFigureOpts(b, "pennant", true, false) }
 
 // BenchmarkFigure9 regenerates Figure 9: Circuit weak scaling (Regent with
 // vs without control replication).
-func BenchmarkFigure9Circuit(b *testing.B) { runFigure(b, "circuit", false) }
+func BenchmarkFigure9Circuit(b *testing.B) { runFigure(b, "circuit") }
 
 // BenchmarkTable1 regenerates Table 1: wall-clock running times of the
 // shallow and complete region-intersection phases for each application at
@@ -128,26 +109,13 @@ func BenchmarkTable1Intersections(b *testing.B) {
 // node's core count shows the real speedup the SPMD schedule exposes
 // (BENCH_PR6.json records the measured ratio).
 func BenchmarkFigure6StencilNative(b *testing.B) {
-	benchStencilNative(b, false)
-}
-
-// BenchmarkFigure6StencilNativeNoSched is the scheduler A/B baseline: the
-// same native run with the worker pool disabled, every kernel and copy
-// body on its own freshly spawned goroutine (the pre-scheduler dispatch).
-// Comparing against BenchmarkFigure6StencilNative isolates what the
-// per-(node,proc) deque pool buys.
-func BenchmarkFigure6StencilNativeNoSched(b *testing.B) {
-	benchStencilNative(b, true)
-}
-
-func benchStencilNative(b *testing.B, noSched bool) {
 	const nodes = 8
 	app, err := harness.AppByName("stencil")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		per, err := app.Measure("regent-cr", nodes, 0, bench.MeasureOpts{Backend: bench.BackendNative, NoSched: noSched})
+		per, err := app.Measure("regent-cr", nodes, 0, bench.MeasureOpts{Backend: bench.BackendNative})
 		if err != nil {
 			b.Fatal(err)
 		}

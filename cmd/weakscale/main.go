@@ -7,11 +7,10 @@
 //
 //	weakscale [-app stencil|miniaero|pennant|circuit|all] [-nodes 1,2,...]
 //	          [-iters N] [-j workers] [-csv] [-v] [-faults seed:rate]
-//	          [-backend des|native] [-procs N] [-sched on|off]
+//	          [-backend des|native] [-procs N]
 //	          [-timepolicy modeled|measured] [-fit-in file] [-fit-out file]
-//	          [-trace on|off] [-trace-share on|off] [-prune on|off]
-//	          [-agg on|off] [-benchjson file] [-verify] [-verify-json file]
-//	          [-cpuprofile file] [-memprofile file]
+//	          [-prune on|off] [-agg on|off] [-benchjson file] [-verify]
+//	          [-verify-json file] [-cpuprofile file] [-memprofile file]
 //
 // -backend selects the realm backend. The default, des, measures on the
 // deterministic discrete-event simulator and reports virtual time. native
@@ -22,12 +21,9 @@
 // the host's cores).
 //
 // -procs sets the native worker pool's per-node size (0, the default, is
-// an equal share of GOMAXPROCS across the simulated nodes). -sched=off
-// disables the pool entirely, falling back to goroutine-per-launch
-// dispatch — the scheduler's A/B baseline; series are identical either
-// way (only host wall-clock differs), which the CI multicore job pins.
-// After a native sweep the scheduler counters (dispatches, steals,
-// inline completions) are printed to stderr.
+// an equal share of GOMAXPROCS across the simulated nodes). After a native
+// sweep the scheduler counters (dispatches, steals, inline completions)
+// are printed to stderr.
 //
 // -timepolicy selects the DES's time-charging policy: modeled (default)
 // charges the Cray-XC-style cost model; measured charges a policy fitted
@@ -66,16 +62,9 @@
 // -agg does not compose with -prune: each pass certifies its own
 // rewritten schedule, so the combination is rejected up front.
 //
-// -trace=off disables runtime trace capture/replay (the PR 3 ablation).
-// The printed series are identical either way — tracing only changes host
-// wall-clock — so the flag exists to demonstrate exactly that. With
-// tracing on, both runtimes' trace counters are printed after each app
-// (to stderr, so CSV output stays clean).
-//
-// -trace-share=off keeps tracing but disables cross-shard sharing: every
-// SPMD shard captures its own plan (the O(shards) PR 3 behavior) instead
-// of specializing one shared capture. Series are identical either way; the
-// capture counters show the O(shards)-vs-O(1) difference.
+// Both runtimes' trace counters (the implicit runtime's loop traces, the
+// SPMD shard plans' captures, specializations and replayed iterations) are
+// printed after each app (to stderr, so CSV output stays clean).
 //
 // -benchjson writes the sweep results to a JSON snapshot file (one object
 // with the sweep parameters and a flat result row per measurement cell);
@@ -221,11 +210,8 @@ type benchSnapshot struct {
 	Backend    string `json:"backend"`
 	HostCPUs   int    `json:"host_cpus"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-	Trace      string `json:"trace"`
-	TraceShare string `json:"trace_share"`
 	Faults     string `json:"faults,omitempty"`
 	Procs      int    `json:"procs,omitempty"`
-	Sched      string `json:"sched,omitempty"`
 	TimePolicy string `json:"timepolicy,omitempty"`
 	// Prune and PruneCounters are present only under -prune, so default-off
 	// snapshots stay byte-identical to pre-prune ones. Agg and AggCounters
@@ -237,8 +223,8 @@ type benchSnapshot struct {
 	Results       []benchRow       `json:"results"`
 }
 
-// onOff parses the shared on|off flag vocabulary (-trace, -trace-share,
-// -prune, -sched, -agg), exiting with a usage error on anything else.
+// onOff parses the shared on|off flag vocabulary (-prune, -agg), exiting
+// with a usage error on anything else.
 func onOff(name, val string) bool {
 	switch val {
 	case "on":
@@ -286,12 +272,9 @@ func main() {
 	faults := flag.String("faults", "", "inject faults: seed:rate (crash rate in crashes per simulated second)")
 	backend := flag.String("backend", bench.BackendDES, "realm backend: des (deterministic simulator, virtual time) or native (real goroutines, wall-clock)")
 	procs := flag.Int("procs", 0, "native worker pool size per node (0 = an equal share of GOMAXPROCS)")
-	sched := flag.String("sched", "on", "native worker pool: on, or off for goroutine-per-launch dispatch (A/B baseline)")
 	timepolicy := flag.String("timepolicy", "modeled", "DES time-charging policy: modeled (Cray-XC cost model) or measured (fitted, needs -fit-in)")
 	fitIn := flag.String("fit-in", "", "JSON file of fitted time coefficients to import (with -timepolicy measured)")
 	fitOut := flag.String("fit-out", "", "fit a time policy from this native sweep and write its coefficients to this JSON file")
-	trace := flag.String("trace", "on", "runtime trace capture/replay: on or off (ablation; results are identical)")
-	traceShare := flag.String("trace-share", "on", "cross-shard trace sharing: on or off (ablation; results are identical)")
 	benchjson := flag.String("benchjson", "", "write the sweep results as a JSON snapshot to this file")
 	prune := flag.String("prune", "off", "certified redundant-sync pruning: off (default) or on (ablation; results are identical, sync edges and messages drop)")
 	agg := flag.String("agg", "off", "coalesced exchange plans: off (default) or on (ablation; results are identical, one message per destination shard per exchange phase). Does not compose with -prune")
@@ -347,13 +330,12 @@ func main() {
 	}
 	native := *backend == bench.BackendNative
 
-	noSched := !onOff("sched", *sched)
 	if *procs < 0 {
 		fmt.Fprintf(os.Stderr, "weakscale: bad -procs %d (want >= 0)\n", *procs)
 		os.Exit(1)
 	}
-	if (*procs > 0 || noSched) && !native {
-		fmt.Fprintln(os.Stderr, "weakscale: -procs and -sched configure the native worker pool; use -backend native")
+	if *procs > 0 && !native {
+		fmt.Fprintln(os.Stderr, "weakscale: -procs configures the native worker pool; use -backend native")
 		os.Exit(1)
 	}
 
@@ -406,8 +388,6 @@ func main() {
 		}
 	}
 
-	noTrace := !onOff("trace", *trace)
-	noShare := !onOff("trace-share", *traceShare)
 	doPrune := onOff("prune", *prune)
 	doAgg := onOff("agg", *agg)
 	if doAgg && doPrune {
@@ -468,10 +448,10 @@ func main() {
 	snap := benchSnapshot{
 		Nodes: nodes, Backend: *backend,
 		HostCPUs: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
-		Trace: *trace, TraceShare: *traceShare, Faults: *faults,
+		Faults: *faults,
 	}
 	if native {
-		snap.Procs, snap.Sched = *procs, *sched
+		snap.Procs = *procs
 	} else {
 		snap.TimePolicy = *timepolicy
 	}
@@ -487,19 +467,13 @@ func main() {
 		}
 		app.Faults = fp
 		app.Backend = *backend
-		app.NoTrace = noTrace
-		app.NoShare = noShare
 		app.Procs = *procs
-		app.NoSched = noSched
 		app.Policy = policy
 		if fit != nil {
 			app.Fit = fit
 		}
-		var agg *bench.TraceAgg
-		if !noTrace {
-			agg = &bench.TraceAgg{}
-			app.Trace = agg
-		}
+		agg := &bench.TraceAgg{}
+		app.Trace = agg
 		var sagg *bench.SchedAgg
 		if native {
 			sagg = &bench.SchedAgg{}
@@ -522,11 +496,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "weakscale:", err)
 			os.Exit(1)
 		}
-		if agg != nil {
-			rtStats, spmdStats := agg.Snapshot()
-			fmt.Fprintf(os.Stderr, "weakscale: %s rt trace: %+v\n", app.Name, rtStats)
-			fmt.Fprintf(os.Stderr, "weakscale: %s spmd trace: %+v\n", app.Name, spmdStats)
-		}
+		rtStats, spmdStats := agg.Snapshot()
+		fmt.Fprintf(os.Stderr, "weakscale: %s rt trace: %+v\n", app.Name, rtStats)
+		fmt.Fprintf(os.Stderr, "weakscale: %s spmd trace: %+v\n", app.Name, spmdStats)
 		if sagg != nil {
 			ss := sagg.Snapshot()
 			fmt.Fprintf(os.Stderr, "weakscale: %s sched: workers=%d dispatches=%d steals=%d (local %d, remote %d) inline=%d\n",

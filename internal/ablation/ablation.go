@@ -103,22 +103,6 @@ type Metrics struct {
 // runConfig compiles and runs a program in Modeled mode and collects
 // metrics.
 func runConfig(prog *ir.Program, loop *ir.Loop, nodes int, opts cr.Options, window int, noise realm.NoiseFn) (Metrics, error) {
-	return runConfigTrace(prog, loop, nodes, opts, window, noise, false)
-}
-
-// runConfigTrace is runConfig with an explicit trace switch: noTrace
-// disables shard-plan capture/replay, the -trace=off ablation. Every
-// metric except host wall-clock is identical either way.
-func runConfigTrace(prog *ir.Program, loop *ir.Loop, nodes int, opts cr.Options, window int, noise realm.NoiseFn, noTrace bool) (Metrics, error) {
-	return runConfigShare(prog, loop, nodes, opts, window, noise, noTrace, false)
-}
-
-// runConfigShare adds the cross-shard sharing switch on top of
-// runConfigTrace: noShare keeps tracing but makes every shard capture its
-// own plan (the O(shards) behavior) instead of specializing one shared
-// capture, the -trace-share=off ablation. As with noTrace, every
-// simulated metric is identical either way.
-func runConfigShare(prog *ir.Program, loop *ir.Loop, nodes int, opts cr.Options, window int, noise realm.NoiseFn, noTrace, noShare bool) (Metrics, error) {
 	plan, err := cr.Compile(prog, loop, opts)
 	if err != nil {
 		return Metrics{}, err
@@ -145,8 +129,6 @@ func runConfigShare(prog *ir.Program, loop *ir.Loop, nodes int, opts cr.Options,
 		eng.Over.Window = window
 	}
 	eng.Over.Noise = noise
-	eng.NoTrace = noTrace
-	eng.NoShare = noShare
 	res, err := eng.Run()
 	if err != nil {
 		return Metrics{}, err

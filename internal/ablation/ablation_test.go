@@ -199,97 +199,6 @@ func TestWindowAblationDeeperNotSlower(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationTrace is the -trace=off ablation: shard-plan
-// capture/replay on vs off for the same configuration. The simulated
-// metrics are identical by construction (the per-iter ratio below must be
-// exactly 1); the difference is host wall-clock, reported as the speedup.
-func BenchmarkAblationTrace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run := func(noTrace bool) (Metrics, time.Duration) {
-			prog, loop := stencil1D(int64(abNodes)*1000, int64(abNodes), 16, true)
-			t0 := time.Now()
-			m, err := runConfigTrace(prog, loop, abNodes, cr.Options{NumShards: abNodes}, 0, nil, noTrace)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return m, time.Since(t0)
-		}
-		traced, tracedWall := run(false)
-		untraced, untracedWall := run(true)
-		if i == 0 {
-			fmt.Printf("\nAblation: trace capture/replay (%d nodes)\n", abNodes)
-			fmt.Printf("  trace=on:  %s wall=%v\n", traced.Fmt(), tracedWall)
-			fmt.Printf("  trace=off: %s wall=%v\n", untraced.Fmt(), untracedWall)
-			b.ReportMetric(float64(untraced.PerIter)/float64(traced.PerIter), "off/on-per-iter-ratio")
-			b.ReportMetric(float64(untracedWall)/float64(tracedWall), "off/on-wall-ratio")
-		}
-	}
-}
-
-// TestTraceAblationIdenticalMetrics pins the trace guarantee at the
-// ablation layer: every simulated metric matches exactly with tracing on
-// and off.
-func TestTraceAblationIdenticalMetrics(t *testing.T) {
-	run := func(noTrace bool) Metrics {
-		prog, loop := stencil1D(16000, 16, 12, true)
-		m, err := runConfigTrace(prog, loop, 16, cr.Options{NumShards: 16}, 0, nil, noTrace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	traced, untraced := run(false), run(true)
-	if traced != untraced {
-		t.Errorf("trace=off metrics differ from trace=on:\non:  %+v\noff: %+v", traced, untraced)
-	}
-}
-
-// BenchmarkAblationShare is the -trace-share=off ablation: one shared
-// capture specialized per shard vs every shard capturing its own plan.
-// The simulated metrics are identical by construction (the per-iter ratio
-// below must be exactly 1); the difference is host wall-clock capture
-// work, O(1) vs O(shards) per run state.
-func BenchmarkAblationShare(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run := func(noShare bool) (Metrics, time.Duration) {
-			prog, loop := stencil1D(int64(abNodes)*1000, int64(abNodes), 16, true)
-			t0 := time.Now()
-			m, err := runConfigShare(prog, loop, abNodes, cr.Options{NumShards: abNodes}, 0, nil, false, noShare)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return m, time.Since(t0)
-		}
-		shared, sharedWall := run(false)
-		perShard, perShardWall := run(true)
-		if i == 0 {
-			fmt.Printf("\nAblation: cross-shard trace sharing (%d nodes)\n", abNodes)
-			fmt.Printf("  share=on:  %s wall=%v\n", shared.Fmt(), sharedWall)
-			fmt.Printf("  share=off: %s wall=%v\n", perShard.Fmt(), perShardWall)
-			b.ReportMetric(float64(perShard.PerIter)/float64(shared.PerIter), "off/on-per-iter-ratio")
-			b.ReportMetric(float64(perShardWall)/float64(sharedWall), "off/on-wall-ratio")
-		}
-	}
-}
-
-// TestShareAblationIdenticalMetrics pins the sharing guarantee at the
-// ablation layer: every simulated metric matches exactly with cross-shard
-// sharing on and off.
-func TestShareAblationIdenticalMetrics(t *testing.T) {
-	run := func(noShare bool) Metrics {
-		prog, loop := stencil1D(16000, 16, 12, true)
-		m, err := runConfigShare(prog, loop, 16, cr.Options{NumShards: 16}, 0, nil, false, noShare)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	shared, perShard := run(false), run(true)
-	if shared != perShard {
-		t.Errorf("share=off metrics differ from share=on:\non:  %+v\noff: %+v", shared, perShard)
-	}
-}
-
 // BenchmarkAblationShallow compares the accelerated shallow phase (interval
 // tree over subregion bounds, §3.3) against the naive O(N^2) all-pairs
 // comparison it replaces, on the circuit application's irregular ghost

@@ -96,7 +96,7 @@ func steadyState(times []realm.Time, skip int) (realm.Time, error) {
 }
 
 // MeasureOpts carries the per-measurement switches shared by the systems
-// under test. The zero value is a fault-free run with tracing on.
+// under test. The zero value is a fault-free DES run.
 type MeasureOpts struct {
 	// Faults injects deterministic faults into the machine (nil =
 	// fault-free). The implicit runtime has no recovery, so an injected
@@ -106,16 +106,6 @@ type MeasureOpts struct {
 	// the SPMD executor recovers via its default checkpoint/restart on both
 	// backends.
 	Faults *realm.FaultPlan
-	// NoTrace disables trace capture/replay in both runtimes (the implicit
-	// runtime's loop traces and the SPMD executor's shard plans). The
-	// simulated schedule is identical either way — the flag exists for the
-	// trace ablation series and wall-clock comparisons.
-	NoTrace bool
-	// NoShare disables cross-shard trace sharing in the SPMD executor:
-	// every shard captures its own plan (O(shards) capture work) instead of
-	// specializing one shared capture. Schedules are identical either way —
-	// the flag exists for the -trace-share ablation.
-	NoShare bool
 	// Trace, when non-nil, accumulates both runtimes' trace counters across
 	// the measurement (safe under the parallel sweep harness).
 	Trace *TraceAgg
@@ -130,10 +120,6 @@ type MeasureOpts struct {
 	// Procs sets the native machine's per-node worker count (0 = an equal
 	// share of GOMAXPROCS). Ignored on the DES.
 	Procs int
-	// NoSched disables the native worker pool, falling back to
-	// goroutine-per-launch dispatch — the A/B baseline for the scheduler.
-	// Ignored on the DES.
-	NoSched bool
 	// Fit, when non-nil, receives a wall-clock sample for every launch and
 	// copy body the native machine executes (pass a *realm.MeasuredTime to
 	// build a fitted TimePolicy from the run). Ignored on the DES.
@@ -174,16 +160,13 @@ type MeasureOpts struct {
 func (o MeasureOpts) NativeBackend() bool { return o.Backend == BackendNative }
 
 // applyExecOpts configures a freshly built backend from the options:
-// scheduler sizing, the A/B pool switch, and the time recorder on native;
-// the time-policy override on the DES.
+// scheduler sizing and the time recorder on native; the time-policy
+// override on the DES.
 func applyExecOpts(sim realm.Exec, opts MeasureOpts) {
 	switch b := sim.(type) {
 	case *native.Machine:
 		if opts.Procs > 0 {
 			b.SetProcs(opts.Procs)
-		}
-		if opts.NoSched {
-			b.SetScheduler(false)
 		}
 		if opts.Fit != nil {
 			b.SetTimeRecorder(opts.Fit)
@@ -320,7 +303,6 @@ func (a *TraceAgg) addRT(s rt.TraceStats) {
 func (a *TraceAgg) addSPMD(s spmd.TraceStats) {
 	a.mu.Lock()
 	a.spmd.Captures += s.Captures
-	a.spmd.PerShardCaptures += s.PerShardCaptures
 	a.spmd.Specializations += s.Specializations
 	a.spmd.ReplayedIters += s.ReplayedIters
 	a.spmd.Invalidations += s.Invalidations
@@ -373,7 +355,6 @@ func MeasureImplicit(prog *ir.Program, loop *ir.Loop, nodes int, tune Tuning, op
 	eng.Over.KernelCores = tune.KernelCores
 	eng.Over.Window = tune.ImplicitWindow
 	eng.Over.Noise = tune.Noise
-	eng.NoTrace = opts.NoTrace
 	res, err := eng.Run()
 	if err != nil {
 		return 0, err
@@ -448,8 +429,6 @@ func MeasureCR(prog *ir.Program, loop *ir.Loop, nodes int, sync cr.SyncMode, tun
 	eng.Over.KernelCores = tune.KernelCores
 	eng.Over.Window = tune.Window
 	eng.Over.Noise = tune.Noise
-	eng.NoTrace = opts.NoTrace
-	eng.NoShare = opts.NoShare
 	res, err := eng.Run()
 	if err != nil {
 		return 0, err

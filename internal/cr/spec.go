@@ -1,26 +1,22 @@
 package cr
 
-// Specialization tables: the compile-time half of cross-shard trace
-// sharing. Every shard of a compiled loop executes the same body over a
-// different color block, so everything the SPMD executor's per-shard plan
-// capture used to resolve at run time that does NOT depend on the shard or
-// on the node assignment — copy pair grouping and per-shard work lists,
+// Specialization tables: the compile-time half of the SPMD executor's
+// shard plans. Every shard of a compiled loop executes the same body over a
+// different color block, so everything a shard plan would otherwise
+// resolve at run time that does NOT depend on the shard or on the node
+// assignment — copy pair grouping and per-shard work lists,
 // pair volumes, pair endpoint shards, kernel cost volumes, owned-block
 // offsets — is a pure function of the compiled plan. The compiler emits it
 // once, here, and the executor instantiates each shard's concrete plan by
 // table substitution (internal/spmd/plan.go) instead of re-deriving it
 // per shard per run state.
 //
-// The tables are also what the executor's *interpreter* walks (the work
-// lists replace the per-runState copy schedules the executor used to
-// build), so interpretation, per-shard capture, and specialization all read
-// the same precomputed partition of the copy work — one source of truth,
-// statically checked by internal/verify.CheckSpec against a direct
-// recomputation from the pair lists.
+// The tables are the one source of truth for the copy work partition:
+// every shard plan is specialized from them, and internal/verify.CheckSpec
+// checks them statically against a direct recomputation from the pair
+// lists.
 
 import (
-	"fmt"
-
 	"repro/internal/ir"
 	"repro/internal/region"
 )
@@ -120,22 +116,12 @@ type OpSpec struct {
 	Copy   *CopySpec
 }
 
-// ShareMarker is the compiler's verdict on cross-shard plan sharing: a
-// shared capture can be specialized to shard s only when the owned color
-// blocks are positionally congruent (every shard owns the same number of
-// consecutive colors, so owned index k maps to global color OwnedBase[s]+k
-// uniformly). A ragged block partition breaks that, and the executor falls
-// back to per-shard capture with Reason as the logged explanation.
-type ShareMarker struct {
-	Shareable bool
-	Reason    string // set when Shareable is false
-}
-
 // SpecTable is the full specialization metadata of one compiled loop.
 type SpecTable struct {
-	Share ShareMarker
 	// OwnedBase[s] is the ColorIdx of shard s's first owned color (the lo
-	// bound of its block); owned color k of shard s is Domain[OwnedBase[s]+k].
+	// bound of its block); owned color k of shard s is Domain[OwnedBase[s]+k],
+	// ragged blocks included (createShards gives each shard a contiguous
+	// slice of the domain).
 	OwnedBase []int
 	// Ops is parallel to Compiled.Body.
 	Ops []OpSpec
@@ -161,19 +147,9 @@ func (c *Compiled) buildSpec() {
 		CopyByID:  make(map[int]*CopySpec),
 	}
 	base := 0
-	uniform := true
 	for s := 0; s < ns; s++ {
 		spec.OwnedBase[s] = base
 		base += len(c.Owned[s])
-		if len(c.Owned[s]) != len(c.Owned[0]) {
-			uniform = false
-		}
-	}
-	if uniform {
-		spec.Share = ShareMarker{Shareable: true}
-	} else {
-		spec.Share = ShareMarker{Reason: fmt.Sprintf(
-			"ragged shard partition: %d colors over %d shards leaves unequal blocks", len(c.Domain), ns)}
 	}
 	for i, op := range c.Body {
 		switch {

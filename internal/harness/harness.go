@@ -41,24 +41,12 @@ type App struct {
 	// wall-clock per-iteration times. Systems that exist only as DES cost
 	// models (the MPI baselines) are dropped from the sweep on native.
 	Backend string
-	// NoTrace runs every cell with runtime trace capture/replay disabled —
-	// the trace ablation. Throughput series are identical with and without
-	// (the simulated schedule does not depend on tracing); only host
-	// wall-clock differs.
-	NoTrace bool
-	// NoShare runs every cell with cross-shard trace sharing disabled — the
-	// -trace-share ablation: each SPMD shard captures its own plan instead
-	// of specializing the shared capture. Series are identical either way.
-	NoShare bool
 	// Trace optionally accumulates both runtimes' trace counters across the
-	// whole sweep (printed by weakscale under -trace on).
+	// whole sweep (printed by weakscale).
 	Trace *bench.TraceAgg
 	// Procs sets the native worker pool's per-node size for every cell
-	// (0 = an equal share of GOMAXPROCS); NoSched disables the pool —
-	// goroutine-per-launch dispatch, the scheduler's A/B baseline. Both
-	// are ignored on the DES.
-	Procs   int
-	NoSched bool
+	// (0 = an equal share of GOMAXPROCS). Ignored on the DES.
+	Procs int
 	// Sched optionally accumulates the native scheduler's counters across
 	// the whole sweep (printed by weakscale under -backend native).
 	Sched *bench.SchedAgg
@@ -237,12 +225,9 @@ func RunFigureParallel(app App, nodes []int, workers int, progress func(string))
 		t0 := time.Now()
 		per, err := app.Measure(sys, n, app.Iters, bench.MeasureOpts{
 			Faults:     app.cellFaults(cells[i].si, n),
-			NoTrace:    app.NoTrace,
-			NoShare:    app.NoShare,
 			Trace:      app.Trace,
 			Backend:    app.Backend,
 			Procs:      app.Procs,
-			NoSched:    app.NoSched,
 			Sched:      app.Sched,
 			Fit:        app.Fit,
 			Policy:     app.Policy,

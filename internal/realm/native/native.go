@@ -7,9 +7,7 @@
 // placement, LIFO slots, node-local-then-remote stealing), real
 // memcpy-style region copies in task and copy bodies, and wall-clock
 // timing. Zero-cost completions (nil body, no injected delay) short-
-// circuit inline at trigger without touching a queue, and SetScheduler
-// can fall the machine back to goroutine-per-launch dispatch for A/B
-// comparison.
+// circuit inline at trigger without touching a queue.
 //
 // The memory model is the event graph itself. Engines order every pair of
 // conflicting accesses through events (task preconditions, p2p war/done
@@ -103,6 +101,9 @@ type Machine struct {
 	// so setup code can build the initial population race-free.
 	started bool
 	pending []func()
+	// early holds work items that became ready before Drive started the
+	// pool (guarded by mu; drained by Drive).
+	early []earlyItem
 
 	// wg tracks every live goroutine that can still trigger events: agents
 	// for their whole lifetime, work items from the moment their
@@ -135,13 +136,12 @@ type Machine struct {
 	liveAgents  int64 // atomic: agents started and not yet finished
 	hangTimeout time.Duration
 
-	// Scheduler state (sched.go). schedp is published in Drive before the
-	// agents are released and read by every dispatch; nil means
-	// goroutine-per-launch (pool disabled, or work issued before Drive).
-	// procs/noSched/recorder are configured before Drive only.
+	// Scheduler state (sched.go). schedp is published in Drive, under mu,
+	// before the agents are released, and read by every dispatch; nil
+	// means Drive has not started the pool yet. procs/recorder are
+	// configured before Drive only.
 	schedp   atomic.Pointer[scheduler]
 	procs    int // per-node worker count; 0 → defaultProcs
-	noSched  bool
 	recorder realm.TimeRecorder
 
 	// Fault state. faults is written once before Drive (InjectFaults) and
@@ -722,9 +722,13 @@ func (m *Machine) Drive() (realm.Time, error) {
 	m.started = true
 	pend := m.pending
 	m.pending = nil
+	s := newScheduler(m, m.cfg.Nodes, m.Procs())
+	m.schedp.Store(s)
+	early := m.early
+	m.early = nil
 	m.mu.Unlock()
-	if !m.noSched {
-		m.schedp.Store(newScheduler(m, m.cfg.Nodes, m.Procs()))
+	for _, e := range early {
+		s.submit(e.it, e.delay)
 	}
 	stop := make(chan struct{})
 	if m.hangTimeout > 0 {
@@ -736,9 +740,7 @@ func (m *Machine) Drive() (realm.Time, error) {
 	}
 	m.wg.Wait()
 	close(stop)
-	if s := m.schedp.Load(); s != nil {
-		s.shutdown()
-	}
+	s.shutdown()
 	m.failMu.Lock()
 	err := m.err
 	m.failMu.Unlock()

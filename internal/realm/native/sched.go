@@ -296,40 +296,46 @@ func (m *Machine) Procs() int {
 	return defaultProcs(m.cfg.Nodes)
 }
 
-// SetScheduler enables or disables the worker pool (default on). With the
-// pool off the machine falls back to goroutine-per-launch dispatch — the
-// pre-scheduler behavior, kept for A/B benchmarking and as a determinism
-// cross-check. Must be called before Drive.
-func (m *Machine) SetScheduler(on bool) { m.noSched = !on }
-
 // SetTimeRecorder attaches a recorder (realm.MeasuredTime) that observes
 // the wall-clock duration of every executed launch and copy body, so a
 // fitted TimePolicy can be built from this run. Must be set before Drive.
 func (m *Machine) SetTimeRecorder(rec realm.TimeRecorder) { m.recorder = rec }
 
-// dispatch routes one ready work item: onto the pool when it is running,
-// otherwise (pool disabled, or work issued before Drive) onto a fresh
-// goroutine. The item is counted in the machine WaitGroup and the
-// inflight gauge from here until runItem finishes it. Injected delays
-// ride a timer before the item becomes runnable, so they never occupy a
-// worker.
+// dispatch routes one ready work item onto the pool. Work that becomes
+// ready before Drive has started the pool is held and enqueued when it
+// starts. The item is counted in the machine WaitGroup and the inflight
+// gauge from here until runItem finishes it. Injected delays ride a timer
+// before the item becomes runnable, so they never occupy a worker.
 func (m *Machine) dispatch(it *workItem, delay time.Duration) {
 	m.wg.Add(1)
 	m.addInflight(1)
-	if s := m.schedp.Load(); s != nil {
-		if delay > 0 {
-			time.AfterFunc(delay, func() { s.enqueue(it) })
-		} else {
-			s.enqueue(it)
+	s := m.schedp.Load()
+	if s == nil {
+		m.mu.Lock()
+		if s = m.schedp.Load(); s == nil {
+			m.early = append(m.early, earlyItem{it, delay})
+			m.mu.Unlock()
+			return
 		}
+		m.mu.Unlock()
+	}
+	s.submit(it, delay)
+}
+
+// earlyItem is a work item that became ready before Drive started the
+// pool, with its injected delay.
+type earlyItem struct {
+	it    *workItem
+	delay time.Duration
+}
+
+// submit enqueues it, after delay when one was injected.
+func (s *scheduler) submit(it *workItem, delay time.Duration) {
+	if delay > 0 {
+		time.AfterFunc(delay, func() { s.enqueue(it) })
 		return
 	}
-	go func() {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		m.runItem(it)
-	}()
+	s.enqueue(it)
 }
 
 // runItem executes one work item and retires its accounting. An item

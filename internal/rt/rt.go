@@ -142,10 +142,11 @@ type Engine struct {
 	Mode Mode
 	Over Overheads
 	Map  Mapper
-	// NoTrace disables trace capture & replay of loop bodies (see trace.go);
-	// the schedule is identical either way, only the control-plane work of
-	// computing it differs.
-	NoTrace bool
+	// noTrace disables trace capture & replay of loop bodies (see
+	// trace.go), so every iteration runs the untraced analysis. Set only by
+	// this package's trace tests, which use that analysis as the reference
+	// schedule.
+	noTrace bool
 
 	stores     map[*region.Region]*region.Store
 	users      map[*region.Region][]*use

@@ -183,7 +183,7 @@ func loopTraceable(l *ir.Loop) bool {
 // beginTrace arms tracing for a loop, or returns nil when tracing is off,
 // another trace is active (nested loops), or the loop does not qualify.
 func (e *Engine) beginTrace(l *ir.Loop) *traceState {
-	if e.NoTrace || e.trace != nil || !loopTraceable(l) {
+	if e.noTrace || e.trace != nil || !loopTraceable(l) {
 		return nil
 	}
 	ts := &traceState{loop: l, phase: tracePhaseCapture}

@@ -17,7 +17,7 @@ func runWithTrace(t *testing.T, prog *ir.Program, nodes int, mode Mode, noTrace 
 	t.Helper()
 	sim := realm.MustNewSim(testConfig(nodes))
 	eng := New(sim, prog, mode)
-	eng.NoTrace = noTrace
+	eng.noTrace = noTrace
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestTraceReplayMatchesUntraced(t *testing.T) {
 		got, stats := runWithTrace(t, f2.Prog, 4, mode, false)
 
 		if offStats.LoopsTraced != 0 {
-			t.Fatalf("NoTrace engine traced %d loops", offStats.LoopsTraced)
+			t.Fatalf("untraced engine traced %d loops", offStats.LoopsTraced)
 		}
 		if stats.Promotions < 1 || stats.ReplayedIters < 6 {
 			t.Fatalf("trace did not engage: %+v", stats)
@@ -238,7 +238,7 @@ func TestTraceReplayAllocRegression(t *testing.T) {
 		// dependence-analysis path the trace is meant to eliminate.
 		sim := realm.MustNewSim(testConfig(1))
 		eng := New(sim, f.Prog, Modeled)
-		eng.NoTrace = noTrace
+		eng.noTrace = noTrace
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

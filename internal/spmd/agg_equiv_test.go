@@ -197,7 +197,7 @@ func TestAggFailoverRecovers(t *testing.T) {
 	if res.Faults.Unrecovered {
 		t.Fatalf("aggregated run degraded: %+v", res.Faults)
 	}
-	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
+	if stats.Captures != 1 {
 		t.Fatalf("aggregated failover re-captured: %+v", stats)
 	}
 	assertStoresBitwiseEqual(t, golden.Stores, res.Stores)

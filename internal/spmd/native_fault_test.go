@@ -51,7 +51,7 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 
 	golden := progtest.NewFigure2(48, 8, 8)
 	res0, stats0 := runCRNative(t, golden, nodes, shards, nil, rec)
-	if stats0.Captures != 1 || stats0.PerShardCaptures != 0 {
+	if stats0.Captures != 1 || stats0.Specializations != shards {
 		t.Fatalf("fault-free counters %+v, want exactly one shared capture", stats0)
 	}
 	if res0.Stats.TraceShips != 0 {
@@ -83,7 +83,7 @@ func TestNativeCrashFailoverShipsTrace(t *testing.T) {
 	}
 	// Zero re-capture across the whole faulty run: failover re-specializes
 	// the shipped shared capture instead.
-	if stats.Captures != stats0.Captures || stats.PerShardCaptures != 0 {
+	if stats.Captures != stats0.Captures {
 		t.Errorf("failover re-captured: %+v, want the single pre-crash capture only (fault-free: %+v)", stats, stats0)
 	}
 	if stats.Ships == 0 || stats.ShippedBytes == 0 {
@@ -159,7 +159,7 @@ func TestNativeDoubleFailover(t *testing.T) {
 	if got.Faults.Unrecovered {
 		t.Fatalf("run degraded unexpectedly: %+v", got.Faults)
 	}
-	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
+	if stats.Captures != 1 {
 		t.Errorf("double failover re-captured: %+v", stats)
 	}
 	refSeq := progtest.NewFigure2(48, 8, 8)

@@ -1,48 +1,41 @@
 package spmd
 
-// Shard-side trace capture & replay: the SPMD analogue of the implicit
-// runtime's loop traces (internal/rt/trace.go). A compiled loop's body is
-// structurally identical in every iteration — the cr compiler certifies as
-// much with its loop-boundary trace marker — so everything a shard resolves
-// per iteration that is NOT event-valued (instance-table lookups, copy pair
-// grouping, owner nodes, transfer sizes, kernel cost, Real-mode store
-// bindings) is captured into an immutable per-shard plan the first time the
-// shard runs under a given placement, and replayed thereafter.
+// Shard plans: how a shard issues its work. A compiled loop's body is
+// structurally identical in every iteration, so everything a shard would
+// resolve per iteration that is NOT event-valued (instance-table lookups,
+// copy pair grouping, owner nodes, transfer sizes, kernel cost, Real-mode
+// store bindings) is resolved once into an immutable per-shard plan, and
+// every iteration replays it. This is the only issue path, for both sync
+// lowerings and with or without aggregation and pruning.
 //
-// Capture is two-phase. The shard-independent half — kernel durations per
-// color, transfer sizes per pair — is a pure function of the compiled plan's
-// specialization tables (cr.SpecTable) and the overhead model, so the engine
-// captures it ONCE per loop as a sharedTrace, and each shard instantiates
-// its concrete plan by table substitution (specialize): owned colors map to
-// dense table slots through the compiler's OwnedBase offsets, nodes come
-// from the run state's assignment, and only the inherently shard-local
-// state (dependence-table entries, Real-mode bindings) is resolved per
-// shard. That makes capture cost O(1) per run state where it used to be
-// O(shards): re-runs, failover rebuilds, and sweep cells all reuse the one
-// shared capture. When the compiler marks a loop unshareable (ragged shard
-// partition) or the ablation flag disables sharing, shards fall back to
-// direct per-shard capture — the two paths perform identical lookups in
-// identical order, so their plans are indistinguishable and every schedule
-// stays byte-identical.
+// Resolution is two-phase. The shard-independent half — kernel durations
+// per color, transfer sizes per pair — is a pure function of the compiled
+// plan's specialization tables (cr.SpecTable) and the overhead model, so
+// the engine captures it ONCE per loop as a sharedTrace, and each shard
+// instantiates its concrete plan by table substitution (specialize): owned
+// colors map to dense table slots through the compiler's OwnedBase
+// offsets, nodes come from the run state's assignment, and only the
+// inherently shard-local state (dependence-table entries, Real-mode
+// bindings) is resolved per shard. A ragged block partition is not
+// special: the compiler gives shard s the contiguous slice
+// Domain[OwnedBase[s]:OwnedBase[s+1]], so owned color k is always
+// Domain[OwnedBase[s]+k].
 //
-// The event graph itself is still rebuilt each iteration — events are the
-// values that change — but from the plan's resolved pointers: replay walks
-// flat slices and instState pointers where interpretation hashed instKey
-// and tempKey maps for every argument of every task of every iteration.
-// Scalar statements stay live during replay (their values may be
-// data-dependent; only structural resolution is memoized), and the Sim
-// call sequence is identical to interpretation by construction, so traced
-// and untraced runs produce byte-identical schedules.
+// The event graph itself is rebuilt each iteration — events are the values
+// that change — from the plan's resolved pointers: replay walks flat
+// slices and instState pointers. Scalar statements stay live during replay
+// (their values may be data-dependent; only structural resolution is
+// memoized).
 //
 // Invalidation is by construction rather than by fingerprint: plans are
 // keyed by (runState, shard), and everything they resolve — tables, node
 // assignment, instance stores — is immutable for the runState's lifetime.
-// The one thing that changes resolution is shard failover (PR 2 recovery),
-// and that rebuilds the runState, discarding every plan with it. The
-// sharedTrace survives the rebuild (it depends on nothing the failure
-// changed), and the recovery layer ships it to the restarted shard's node
-// as a real message (realm.ShipTrace) so the shard specializes and resumes
-// in replay mode instead of re-capturing.
+// The one thing that changes resolution is shard failover, and that
+// rebuilds the runState, discarding every plan with it. The sharedTrace
+// survives the rebuild (it depends on nothing the failure changed), and
+// the recovery layer ships it to the restarted shard's node as a real
+// message (realm.ShipTrace) so the shard specializes and resumes without
+// re-capturing.
 
 import (
 	"repro/internal/cr"
@@ -54,18 +47,14 @@ import (
 
 // TraceStats counts the shard-plan activity of one engine run.
 type TraceStats struct {
-	// Captures counts shared captures: one per compiled loop per engine run
-	// when cross-shard sharing is on, independent of the shard count.
+	// Captures counts shared captures: one per compiled loop per engine
+	// run, independent of the shard count.
 	Captures int
-	// PerShardCaptures counts direct per-shard captures — the fallback when
-	// sharing is disabled or the compiler marked the loop unshareable
-	// (O(shards) per runState; failover rebuilds count again).
-	PerShardCaptures int
 	// Specializations counts shard plans instantiated from a shared capture
-	// by table substitution.
+	// by table substitution: one per shard per run state.
 	Specializations int
-	// ReplayedIters is the total number of shard-iterations executed from a
-	// plan instead of interpreted.
+	// ReplayedIters is the total number of shard-iterations issued from a
+	// plan.
 	ReplayedIters int
 	// Invalidations counts shard plans discarded when failover rebuilt the
 	// run state under a new placement.
@@ -146,21 +135,6 @@ func (e *Engine) sharedFor(plan *cr.Compiled) *sharedTrace {
 	return shr
 }
 
-// logShareFallback reports, once per loop per run, why a loop with sharing
-// enabled fell back to per-shard capture.
-func (e *Engine) logShareFallback(plan *cr.Compiled) {
-	if e.shareLogged[plan] {
-		return
-	}
-	if e.shareLogged == nil {
-		e.shareLogged = make(map[*cr.Compiled]bool)
-	}
-	e.shareLogged[plan] = true
-	if e.ShareLog != nil {
-		e.ShareLog("trace sharing disabled for loop: " + plan.Spec.Share.Reason)
-	}
-}
-
 // shardPlan is one shard's memoized iteration: the body ops with all
 // non-event resolution done.
 type shardPlan struct {
@@ -200,7 +174,7 @@ type launchColorPlan struct {
 
 // argPlan is one region argument's dependence state: reads append to
 // readers, writes and reductions advance lastWrite (reductions against the
-// launch's private temporary, which capture resolved into st).
+// launch's private temporary, which specialization resolved into st).
 type argPlan struct {
 	priv ir.Privilege
 	st   *instState
@@ -221,7 +195,7 @@ type copyWorkPlan struct {
 }
 
 type copyProdPlan struct {
-	copyID           int  // owning copy op's ID (members of a phase group span ops)
+	copyID           int // owning copy op's ID (members of a phase group span ops)
 	pairIdx          int
 	chain            bool // fold-chain link: also wait on pairIdx-1's done
 	reduce           bool // the owning op is a reduction copy
@@ -262,44 +236,28 @@ type phaseConsumerPlan struct {
 }
 
 // planFor returns the shard's memoized plan, specializing the engine's
-// shared capture on first use (or capturing directly when sharing is off or
-// the compiler marked the loop unshareable). Returns nil when tracing is
-// off or the loop is untraceable. The ablation barrier lowering also runs
-// interpreted: it is the naive baseline and stays byte-for-byte the naive
-// code path.
+// shared capture on first use.
 func (st *runState) planFor(sh *shard) *shardPlan {
 	e := st.e
-	if e.NoTrace || !st.plan.Trace.Traceable || st.plan.Opts.Sync == cr.BarrierSync {
-		return nil
-	}
-	// planMu serializes capture/specialization across shard agents (they
-	// resolve concurrently on the native backend) and guards the engine's
-	// shared-capture cache and counters. Capture happens once per shard per
-	// placement, so the serialization is off the steady-state path.
+	// planMu serializes specialization across shard agents (they resolve
+	// concurrently on the native backend) and guards the engine's
+	// shared-capture cache and counters. Specialization happens once per
+	// shard per placement, so the serialization is off the steady-state
+	// path.
 	e.planMu.Lock()
 	defer e.planMu.Unlock()
 	if sp := st.plans[sh.me]; sp != nil {
 		return sp
 	}
-	var sp *shardPlan
-	if !e.NoShare && st.plan.Spec.Share.Shareable {
-		sp = st.specialize(sh, e.sharedFor(st.plan))
-		e.traceStats.Specializations++
-	} else {
-		if !e.NoShare {
-			e.logShareFallback(st.plan)
-		}
-		sp = st.capture(sh)
-		e.traceStats.PerShardCaptures++
-	}
+	sp := st.specialize(sh, e.sharedFor(st.plan))
+	e.traceStats.Specializations++
 	st.plans[sh.me] = sp
 	return sp
 }
 
 // dropPlans discards every memoized shard plan and reports how many were
 // live: the trace invalidation of a failover rebuild, after which the new
-// placement re-resolves nodes and states (by re-specializing the surviving
-// shared capture when sharing is on).
+// placement re-specializes the surviving shared capture.
 func (st *runState) dropPlans() int {
 	n := 0
 	for i, sp := range st.plans {
@@ -311,41 +269,12 @@ func (st *runState) dropPlans() int {
 	return n
 }
 
-// capture resolves the compiled body for one shard directly. It performs
-// exactly the lookups interpretation would perform on the first iteration
-// (creating the same table entries and Real-mode temporaries, in the same
-// order), so the side effects on the shard table are identical.
-func (st *runState) capture(sh *shard) *shardPlan {
-	sp := &shardPlan{ops: make([]planOp, 0, len(st.plan.Body))}
-	spec := &st.plan.Spec
-	for i, op := range st.plan.Body {
-		switch {
-		case op.Set != nil:
-			sp.ops = append(sp.ops, planOp{set: op.Set})
-		case op.Launch != nil:
-			sp.ops = append(sp.ops, planOp{launch: st.captureLaunch(sh, op.Launch)})
-		case op.Copy != nil:
-			if st.plan.Opts.Agg {
-				// The whole exchange phase resolves at its head op; the
-				// phase's remaining copies emit nothing.
-				if ph := &spec.Phases[spec.PhaseOf[i]]; ph.Start == i {
-					sp.ops = append(sp.ops, planOp{phase: st.resolvePhasePlan(sh, ph, st.interpAggBytes)})
-				}
-				continue
-			}
-			sp.ops = append(sp.ops, planOp{cp: st.captureCopy(sh, op.Copy)})
-		}
-	}
-	return sp
-}
-
 // specialize instantiates one shard's concrete plan from the shared
 // capture by table substitution: owned colors map to dense slots through
 // the compiler's OwnedBase offset, durations and transfer sizes come from
-// the shared tables, nodes from the runState's assignment. The shard-local
-// resolution (dependence states, Real-mode bindings) runs through the same
-// helpers as direct capture, in the same order, so a specialized plan is
-// indistinguishable from a captured one.
+// the shared tables, nodes from the runState's assignment. Only the
+// shard-local state (dependence-table entries, Real-mode bindings) is
+// resolved here.
 func (st *runState) specialize(sh *shard, shr *sharedTrace) *shardPlan {
 	sp := &shardPlan{ops: make([]planOp, 0, len(st.plan.Body))}
 	spec := &st.plan.Spec
@@ -357,9 +286,10 @@ func (st *runState) specialize(sh *shard, shr *sharedTrace) *shardPlan {
 			sp.ops = append(sp.ops, planOp{launch: st.specializeLaunch(sh, op.Launch, shr.ops[i].launch)})
 		case op.Copy != nil:
 			if st.plan.Opts.Agg {
+				// The whole exchange phase resolves at its head op; the
+				// phase's remaining copies emit nothing.
 				if ph := &spec.Phases[spec.PhaseOf[i]]; ph.Start == i {
-					sp.ops = append(sp.ops, planOp{phase: st.resolvePhasePlan(sh, ph,
-						func(op, k int) int64 { return shr.ops[op].cp.bytes[k] })})
+					sp.ops = append(sp.ops, planOp{phase: st.specializePhase(sh, ph, shr)})
 				}
 				continue
 			}
@@ -383,21 +313,38 @@ func (st *runState) tempStore(tk tempKey, sub *region.Region) *region.Store {
 	return buf
 }
 
-// resolveLaunchArgs fills one color's argument states and Real-mode
-// bindings. Shared by direct capture and specialization so both create the
-// same shard-table entries and temporaries in the same order.
-func (st *runState) resolveLaunchArgs(sh *shard, l *ir.Launch, col geometry.Point, cp *launchColorPlan) {
+// specializeLaunch resolves one launch for the shard: owned color k is
+// dense slot OwnedBase[shard]+k, and its duration was computed once for
+// all shards. Each color's argument states and Real-mode bindings (over
+// instance stores; reduce arguments get persistent per-(launch, arg,
+// color) temporaries re-initialized to the identity at task start, §4.3)
+// are resolved here.
+func (st *runState) specializeLaunch(sh *shard, l *ir.Launch, shl *sharedLaunch) *launchPlan {
 	e := st.e
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		ap := argPlan{priv: param.Priv}
-		if param.Priv == ir.PrivReduce {
-			ap.st = sh.table.getTemp(tempKey{l, ai, col})
-		} else {
-			ap.st = sh.table.get(instKey{a.Part.ID(), col})
+	lp := &launchPlan{
+		l:      l,
+		reduce: l.Reduce != nil,
+		nodeID: st.nodeOfShard(sh.me),
+	}
+	base := st.plan.Spec.OwnedBase[sh.me]
+	for k, col := range st.plan.Owned[sh.me] {
+		cp := launchColorPlan{
+			col:     col,
+			colIdx:  base + k,
+			durBase: shl.durBase[base+k],
 		}
-		cp.args = append(cp.args, ap)
-		if e.Mode == ir.ExecReal {
+		for ai, a := range l.Args {
+			param := l.Task.Params[ai]
+			ap := argPlan{priv: param.Priv}
+			if param.Priv == ir.PrivReduce {
+				ap.st = sh.table.getTemp(tempKey{l, ai, col})
+			} else {
+				ap.st = sh.table.get(instKey{a.Part.ID(), col})
+			}
+			cp.args = append(cp.args, ap)
+			if e.Mode != ir.ExecReal {
+				continue
+			}
 			sub := a.Part.Sub(col)
 			if param.Priv == ir.PrivReduce {
 				buf := st.tempStore(tempKey{l, ai, col}, sub)
@@ -412,53 +359,13 @@ func (st *runState) resolveLaunchArgs(sh *shard, l *ir.Launch, col geometry.Poin
 				cp.physArgs = append(cp.physArgs, ir.NewPhysArg(sub, st.inst[instKey{a.Part.ID(), col}], param))
 			}
 		}
-	}
-}
-
-func (st *runState) captureLaunch(sh *shard, l *ir.Launch) *launchPlan {
-	e := st.e
-	lp := &launchPlan{
-		l:      l,
-		reduce: l.Reduce != nil,
-		nodeID: st.nodeOfShard(sh.me),
-	}
-	for _, col := range st.plan.Owned[sh.me] {
-		vol := l.Args[l.Task.CostArg].At(col).Volume()
-		cp := launchColorPlan{
-			col:     col,
-			colIdx:  st.plan.ColorIdx[col],
-			durBase: realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores)),
-		}
-		st.resolveLaunchArgs(sh, l, col, &cp)
-		lp.colors = append(lp.colors, cp)
-	}
-	return lp
-}
-
-// specializeLaunch mirrors captureLaunch with the per-color arithmetic
-// replaced by shared-table lookups: owned color k is dense slot
-// OwnedBase[shard]+k, and its duration was computed once for all shards.
-func (st *runState) specializeLaunch(sh *shard, l *ir.Launch, shl *sharedLaunch) *launchPlan {
-	lp := &launchPlan{
-		l:      l,
-		reduce: l.Reduce != nil,
-		nodeID: st.nodeOfShard(sh.me),
-	}
-	base := st.plan.Spec.OwnedBase[sh.me]
-	for k, col := range st.plan.Owned[sh.me] {
-		cp := launchColorPlan{
-			col:     col,
-			colIdx:  base + k,
-			durBase: shl.durBase[base+k],
-		}
-		st.resolveLaunchArgs(sh, l, col, &cp)
 		lp.colors = append(lp.colors, cp)
 	}
 	return lp
 }
 
 // resolveProdPlan fills one produced pair's dependence state and Real-mode
-// transfer body. Shared by direct capture and specialization.
+// transfer body. Shared by the unaggregated and aggregated copy plans.
 func (st *runState) resolveProdPlan(sh *shard, cp *cr.CopyOp, k int, chain bool, bytes int64, srcNode, dstNode int) copyProdPlan {
 	e := st.e
 	pr := cp.Pairs[k]
@@ -499,19 +406,56 @@ func (st *runState) resolveProdPlan(sh *shard, cp *cr.CopyOp, k int, chain bool,
 	return p
 }
 
-// resolvePhaseAggs builds the shard's coalesced producer schedule of one
-// exchange phase from the compiler's aggregation tables: one copyAggPlan
-// per destination shard, members (which may span the phase's copy ops)
-// resolved through the same resolveProdPlan as the unaggregated paths.
-// bytesOf supplies a member's wire size by (body op index, pair index) —
-// computed during interpretation/capture, shared-table lookup during
-// specialization. Shared by the interpreter (both lowerings), direct
-// capture, and specialization, so all three resolve identical groups and
-// create identical shard-table entries in identical order.
-func (st *runState) resolvePhaseAggs(sh *shard, ph *cr.AggPhase, bytesOf func(op, k int) int64) []copyAggPlan {
+// consumerWork resolves the shard's consumer-side work of one copy op: the
+// destination state of each pair group whose destination it owns.
+func (st *runState) consumerWork(sh *shard, cp *cr.CopyOp, work cr.SpecWork) copyWorkPlan {
+	w := copyWorkPlan{consumer: work.Consumer, groupStart: work.GroupStart, groupEnd: work.GroupEnd}
+	if work.Consumer {
+		w.dstState = sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[work.GroupStart].Dst})
+	}
+	return w
+}
+
+// specializeCopy resolves one copy op for the shard from the compiler's
+// per-shard work lists: transfer sizes come from the shared capture, and
+// endpoint nodes from the compiler's pair-endpoint shard tables composed
+// with the runState's assignment.
+func (st *runState) specializeCopy(sh *shard, cp *cr.CopyOp, shc *sharedCopy) *copyPlan {
+	spec := st.plan.Spec.CopyByID[cp.ID]
+	out := &copyPlan{id: cp.ID}
+	reduce := cp.Reduce != region.ReduceNone
+	for _, work := range spec.PerShard[sh.me] {
+		w := st.consumerWork(sh, cp, work)
+		for _, k := range work.ProdPairs {
+			chain := reduce && k > work.GroupStart && !st.plan.Prune.SkipChain(cp.ID, k)
+			w.prods = append(w.prods, st.resolveProdPlan(sh, cp, k, chain, shc.bytes[k],
+				st.assign[spec.SrcShard[k]], st.assign[spec.DstShard[k]]))
+		}
+		out.works = append(out.works, w)
+	}
+	return out
+}
+
+// specializePhase resolves one exchange phase for the shard under
+// aggregation: each op's consumer work in body order, then one
+// copyAggPlan per destination shard from the compiler's aggregation
+// tables, members (which may span the phase's copy ops) resolved through
+// resolveProdPlan.
+func (st *runState) specializePhase(sh *shard, ph *cr.AggPhase, shr *sharedTrace) *phasePlan {
+	pp := &phasePlan{}
+	for op := ph.Start; op < ph.End; op++ {
+		cp := st.plan.Body[op].Copy
+		cons := phaseConsumerPlan{id: cp.ID}
+		for _, work := range st.plan.Spec.CopyByID[cp.ID].PerShard[sh.me] {
+			if work.Consumer {
+				cons.works = append(cons.works, st.consumerWork(sh, cp, work))
+			}
+		}
+		pp.cons = append(pp.cons, cons)
+	}
 	srcNode := st.nodeOfShard(sh.me)
 	groups := ph.ByShard[sh.me]
-	out := make([]copyAggPlan, 0, len(groups))
+	pp.aggs = make([]copyAggPlan, 0, len(groups))
 	for gi := range groups {
 		g := &groups[gi]
 		ap := copyAggPlan{srcNode: srcNode, dstNode: st.nodeOfShard(int(g.DstShard))}
@@ -520,7 +464,7 @@ func (st *runState) resolvePhaseAggs(sh *shard, ph *cr.AggPhase, bytesOf func(op
 			spec := st.plan.Spec.Ops[mem.Op].Copy
 			k := int(mem.Pair)
 			chain := cp.Reduce != region.ReduceNone && cr.AggChainExternal(cp, spec, k)
-			m := st.resolveProdPlan(sh, cp, k, chain, bytesOf(int(mem.Op), k), ap.srcNode, ap.dstNode)
+			m := st.resolveProdPlan(sh, cp, k, chain, shr.ops[mem.Op].cp.bytes[k], ap.srcNode, ap.dstNode)
 			ap.bytes += m.bytes
 			ap.members = append(ap.members, m)
 		}
@@ -532,94 +476,15 @@ func (st *runState) resolvePhaseAggs(sh *shard, ph *cr.AggPhase, bytesOf func(op
 				}
 			}
 		}
-		out = append(out, ap)
+		pp.aggs = append(pp.aggs, ap)
 	}
-	return out
-}
-
-// resolvePhasePlan resolves one exchange phase for one shard: each op's
-// consumer work in body order (exactly the lookups the interpreter's
-// consumer pass performs, in the same order), then the phase's coalesced
-// producer groups. Shared by direct capture and specialization — only the
-// bytesOf source differs.
-func (st *runState) resolvePhasePlan(sh *shard, ph *cr.AggPhase, bytesOf func(op, k int) int64) *phasePlan {
-	pp := &phasePlan{}
-	for op := ph.Start; op < ph.End; op++ {
-		cp := st.plan.Body[op].Copy
-		cons := phaseConsumerPlan{id: cp.ID}
-		for _, work := range st.copyWork(cp.ID, sh.me) {
-			if !work.Consumer {
-				continue
-			}
-			cons.works = append(cons.works, copyWorkPlan{
-				consumer:   true,
-				dstState:   sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[work.GroupStart].Dst}),
-				groupStart: work.GroupStart,
-				groupEnd:   work.GroupEnd,
-			})
-		}
-		pp.cons = append(pp.cons, cons)
-	}
-	pp.aggs = st.resolvePhaseAggs(sh, ph, bytesOf)
 	return pp
 }
 
-// interpAggBytes computes a member pair's wire size from the compiled body
-// — the interpreter's and direct capture's bytesOf for resolvePhaseAggs.
-func (st *runState) interpAggBytes(op, k int) int64 {
-	cp := st.plan.Body[op].Copy
-	return cp.Pairs[k].Overlap.Volume() * st.e.Over.EltBytes * int64(len(cp.Fields))
-}
-
-func (st *runState) captureCopy(sh *shard, cp *cr.CopyOp) *copyPlan {
-	e := st.e
-	pairs := cp.Pairs
-	out := &copyPlan{id: cp.ID}
-	reduce := cp.Reduce != region.ReduceNone
-	for _, work := range st.copyWork(cp.ID, sh.me) {
-		w := copyWorkPlan{consumer: work.Consumer, groupStart: work.GroupStart, groupEnd: work.GroupEnd}
-		if work.Consumer {
-			w.dstState = sh.table.get(instKey{cp.Dst.ID(), pairs[work.GroupStart].Dst})
-		}
-		for _, k := range work.ProdPairs {
-			pr := pairs[k]
-			bytes := pr.Overlap.Volume() * e.Over.EltBytes * int64(len(cp.Fields))
-			chain := reduce && k > work.GroupStart && !st.plan.Prune.SkipChain(cp.ID, k)
-			w.prods = append(w.prods, st.resolveProdPlan(sh, cp, k, chain, bytes,
-				st.ownerNode(pr.Src), st.ownerNode(pr.Dst)))
-		}
-		out.works = append(out.works, w)
-	}
-	return out
-}
-
-// specializeCopy mirrors captureCopy with the per-pair arithmetic replaced
-// by shared-table lookups: transfer sizes come from the shared capture, and
-// endpoint nodes from the compiler's pair-endpoint shard tables composed
-// with the runState's assignment.
-func (st *runState) specializeCopy(sh *shard, cp *cr.CopyOp, shc *sharedCopy) *copyPlan {
-	pairs := cp.Pairs
-	spec := st.plan.Spec.CopyByID[cp.ID]
-	out := &copyPlan{id: cp.ID}
-	reduce := cp.Reduce != region.ReduceNone
-	for _, work := range spec.PerShard[sh.me] {
-		w := copyWorkPlan{consumer: work.Consumer, groupStart: work.GroupStart, groupEnd: work.GroupEnd}
-		if work.Consumer {
-			w.dstState = sh.table.get(instKey{cp.Dst.ID(), pairs[work.GroupStart].Dst})
-		}
-		for _, k := range work.ProdPairs {
-			chain := reduce && k > work.GroupStart && !st.plan.Prune.SkipChain(cp.ID, k)
-			w.prods = append(w.prods, st.resolveProdPlan(sh, cp, k, chain, shc.bytes[k],
-				st.assign[spec.SrcShard[k]], st.assign[spec.DstShard[k]]))
-		}
-		out.works = append(out.works, w)
-	}
-	return out
-}
-
-// replayIter executes one iteration's body from the plan: the same Sim call
-// sequence as the interpreted body, with all resolution precomputed.
+// replayIter issues one iteration's body from the plan, dispatching copy
+// ops and exchange phases to the plan's sync lowering.
 func (sh *shard) replayIter(sp *shardPlan, iter int) {
+	barrier := sh.st.plan.Opts.Sync == cr.BarrierSync
 	for i := range sp.ops {
 		op := &sp.ops[i]
 		switch {
@@ -627,19 +492,21 @@ func (sh *shard) replayIter(sp *shardPlan, iter int) {
 			sh.env.set(op.set.Name, op.set.Expr(sh.env))
 		case op.launch != nil:
 			sh.replayLaunch(op.launch, iter)
+		case op.cp != nil && barrier:
+			sh.replayCopyBarrier(op.cp, iter)
 		case op.cp != nil:
 			sh.replayCopy(op.cp, iter)
+		case op.phase != nil && barrier:
+			sh.replayPhaseBarrier(op.phase, iter)
 		case op.phase != nil:
 			sh.replayPhase(op.phase, iter)
 		}
 	}
-	e := sh.st.e
-	e.planMu.Lock()
-	e.traceStats.ReplayedIters++
-	e.planMu.Unlock()
 }
 
-// replayLaunch mirrors shard.doLaunch over the resolved plan.
+// replayLaunch issues the shard's owned tasks of one index launch.
+// Shard-local issue cost replaces the central control thread's — the core
+// of the optimization.
 func (sh *shard) replayLaunch(lp *launchPlan, iter int) {
 	st := sh.st
 	e := st.e
@@ -653,6 +520,8 @@ func (sh *shard) replayLaunch(lp *launchPlan, iter int) {
 		scalars[i] = ex(sh.env)
 	}
 
+	// localDone/ctxs feed only the launch-level scalar reduction; they stay
+	// empty for launches without one.
 	localDone := sh.doneBuf[:0]
 	ctxs := sh.ctxBuf[:0]
 	for ci := range lp.colors {
@@ -710,6 +579,10 @@ func (sh *shard) replayLaunch(lp *launchPlan, iter int) {
 	sh.doneBuf, sh.ctxBuf = localDone[:0], ctxs[:0]
 
 	if lp.reduce {
+		// One contribution per task color (not per shard): the collective
+		// folds values in participant-index order, so indexing by global
+		// color keeps the fold order — and hence the floating-point result —
+		// bitwise identical to the sequential semantics.
 		coll := st.collFor(l, iter, l.Reduce.Op)
 		op := l.Reduce.Op
 		for k := range lp.colors {
@@ -726,7 +599,42 @@ func (sh *shard) replayLaunch(lp *launchPlan, iter int) {
 	}
 }
 
-// replayCopy mirrors shard.doCopyP2P over the resolved plan.
+// replayConsumer runs the consumer side of one pair group of copy op id
+// under point-to-point synchronization: release the destination's prior
+// readers and writer to every pair's war event, and make the destination
+// valid once every pair's done event fires. Pruned war/done edges are
+// skipped.
+func (sh *shard) replayConsumer(id int, w *copyWorkPlan, iter int) {
+	st := sh.st
+	e := st.e
+	prune := st.plan.Prune
+	s := w.dstState
+	rel := append(sh.evBuf[:0], s.readers...)
+	rel = append(rel, s.lastWrite)
+	release := e.Sim.Merge(rel...)
+	newWrites := append(sh.wrBuf[:0], s.lastWrite)
+	for k := w.groupStart; k < w.groupEnd; k++ {
+		ps := st.pairSyncFor(id, k, iter)
+		if !prune.SkipWar(id, k) {
+			st.connect(release, ps.war)
+		}
+		if !prune.SkipDone(id, k) {
+			newWrites = append(newWrites, ps.done)
+			sh.ops = append(sh.ops, ps.done)
+		}
+	}
+	s.lastWrite = e.Sim.Merge(newWrites...)
+	s.readers = s.readers[:0]
+	sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
+}
+
+// replayCopy issues one copy op under point-to-point synchronization
+// (§3.4). Per pair group, the shard acts as consumer when it owns the
+// destination (computing the write-after-read release and registering
+// arrivals) and as producer for the pairs whose source it owns (issuing
+// the actual transfers). Reduction applications to one destination chain
+// in source order for deterministic folding; the chain predecessor may
+// belong to another shard, so the link is the shared per-pair done event.
 func (sh *shard) replayCopy(cpl *copyPlan, iter int) {
 	st := sh.st
 	e := st.e
@@ -734,24 +642,7 @@ func (sh *shard) replayCopy(cpl *copyPlan, iter int) {
 	for wi := range cpl.works {
 		w := &cpl.works[wi]
 		if w.consumer {
-			s := w.dstState
-			rel := append(sh.evBuf[:0], s.readers...)
-			rel = append(rel, s.lastWrite)
-			release := e.Sim.Merge(rel...)
-			newWrites := append(sh.wrBuf[:0], s.lastWrite)
-			for k := w.groupStart; k < w.groupEnd; k++ {
-				ps := st.pairSyncFor(cpl.id, k, iter)
-				if !prune.SkipWar(cpl.id, k) {
-					st.connect(release, ps.war)
-				}
-				if !prune.SkipDone(cpl.id, k) {
-					newWrites = append(newWrites, ps.done)
-					sh.ops = append(sh.ops, ps.done)
-				}
-			}
-			s.lastWrite = e.Sim.Merge(newWrites...)
-			s.readers = s.readers[:0]
-			sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
+			sh.replayConsumer(cpl.id, w, iter)
 		}
 		for pi := range w.prods {
 			p := &w.prods[pi]
@@ -769,8 +660,9 @@ func (sh *shard) replayCopy(cpl *copyPlan, iter int) {
 			p.srcState.readers = append(p.srcState.readers, ev)
 			sh.presBuf = pres[:0]
 			if prune.SkipDone(cpl.id, p.pairIdx) {
-				// Done pruned: merge the copy's own completion instead (see
-				// shard.doCopyP2P) so loop-end quiescence still covers it.
+				// Done pruned: the copy's own completion joins the producer's
+				// iteration merge so loop-end quiescence still covers the
+				// transfer; nothing triggers or waits on ps.done.
 				sh.ops = append(sh.ops, ev)
 			} else {
 				st.connect(ev, ps.done)
@@ -780,33 +672,177 @@ func (sh *shard) replayCopy(cpl *copyPlan, iter int) {
 	}
 }
 
-// replayPhase mirrors shard.doPhaseP2PAgg over the resolved plan: every
-// phase op's unaggregated consumer blocks in body order (per-pair sync
-// events survive coalescing, and pruning never composes with aggregation,
-// so there are no Skip checks), then one merged issue per precomputed
-// group.
+// replayPhase issues one exchange phase under point-to-point
+// synchronization with per-destination aggregation (cr.Options.Agg). The
+// consumer side is the unaggregated lowering verbatim, op by op in body
+// order — the per-pair war/done events survive coalescing, so consumers
+// release and observe exactly the same sync structure and are oblivious to
+// how producers batch. The producer side then issues ONE merged transfer
+// per (this shard, destination shard) group over the whole phase:
+// preconditions are the union of the members' wars, source validity, and
+// cross-shard fold-chain links (a same-shard chain predecessor is a member
+// of the same group, ordered by the merged body's in-order member writes
+// instead), the payload is the summed member bytes, and the single
+// completion event fans out to every member's done. Members carry their
+// own op's copy ID: phase groups span copy ops, and the per-pair sync
+// slots stay keyed by the owning op. Pruning never composes with
+// aggregation (Engine.Run rejects the combination), so no edge is skipped.
 func (sh *shard) replayPhase(pp *phasePlan, iter int) {
 	st := sh.st
 	e := st.e
 	for ci := range pp.cons {
 		cons := &pp.cons[ci]
 		for wi := range cons.works {
-			w := &cons.works[wi]
-			s := w.dstState
-			rel := append(sh.evBuf[:0], s.readers...)
-			rel = append(rel, s.lastWrite)
-			release := e.Sim.Merge(rel...)
-			newWrites := append(sh.wrBuf[:0], s.lastWrite)
-			for k := w.groupStart; k < w.groupEnd; k++ {
-				ps := st.pairSyncFor(cons.id, k, iter)
-				st.connect(release, ps.war)
-				newWrites = append(newWrites, ps.done)
-				sh.ops = append(sh.ops, ps.done)
-			}
-			s.lastWrite = e.Sim.Merge(newWrites...)
-			s.readers = s.readers[:0]
-			sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
+			sh.replayConsumer(cons.id, &cons.works[wi], iter)
 		}
 	}
-	sh.issueAggGroups(pp.aggs, iter)
+	for ai := range pp.aggs {
+		ap := &pp.aggs[ai]
+		// One setup charge per group, not per member: batching the issue
+		// overhead is half the point of coalescing.
+		sh.th.Elapse(e.Over.CopySetup)
+		pres := sh.presBuf[:0]
+		for mi := range ap.members {
+			m := &ap.members[mi]
+			pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx, iter).war)
+			pres = append(pres, m.srcState.lastWrite)
+			if m.chain {
+				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
+			}
+		}
+		ev := e.copyAgg(ap.srcNode, ap.dstNode, ap.bytes, len(ap.members), e.Sim.Merge(pres...), ap.body)
+		sh.presBuf = pres[:0]
+		for mi := range ap.members {
+			m := &ap.members[mi]
+			m.srcState.readers = append(m.srcState.readers, ev)
+			ps := st.pairSyncFor(m.copyID, m.pairIdx, iter)
+			st.connect(ev, ps.done)
+			sh.ops = append(sh.ops, ps.done)
+		}
+	}
+}
+
+// arriveRelease arrives at a copy op's first barrier once everything this
+// shard has issued so far in the iteration has completed, plus all
+// outstanding consumers of its destination instances (deferred execution
+// means prior-iteration readers may still be in flight).
+func (sh *shard) arriveRelease(b realm.BarrierOp, works []copyWorkPlan) {
+	arr := append(sh.evBuf[:0], sh.ops...)
+	for wi := range works {
+		if w := &works[wi]; w.consumer {
+			arr = append(arr, w.dstState.lastWrite)
+			arr = append(arr, w.dstState.readers...)
+		}
+	}
+	b.Arrive(sh.st.e.Sim.Merge(arr...))
+	sh.evBuf = arr[:0]
+}
+
+// validateAfter makes every destination instance this shard consumes valid
+// after a copy op's second barrier, and adds the barrier to the iteration.
+func (sh *shard) validateAfter(b realm.BarrierOp, works []copyWorkPlan) {
+	sim := sh.st.e.Sim
+	for wi := range works {
+		if w := &works[wi]; w.consumer {
+			s := w.dstState
+			s.lastWrite = sim.Merge(s.lastWrite, b.Done())
+			s.readers = s.readers[:0]
+		}
+	}
+	sh.ops = append(sh.ops, b.Done())
+}
+
+// replayCopyBarrier issues one copy op under the naive barrier lowering of
+// Figure 4c: a global barrier protects write-after-read, the copies run,
+// and a second barrier protects read-after-write. Kept as the ablation
+// baseline for the point-to-point optimization. Reduction copies still
+// chain through the shared per-pair done events, so the fold order is
+// deterministic even under barriers.
+func (sh *shard) replayCopyBarrier(cpl *copyPlan, iter int) {
+	st := sh.st
+	e := st.e
+	b1 := st.barrierFor(cpl.id, iter, 0)
+	b2 := st.barrierFor(cpl.id, iter, 1)
+	sh.arriveRelease(b1, cpl.works)
+
+	copyEvs := sh.wrBuf[:0]
+	for wi := range cpl.works {
+		w := &cpl.works[wi]
+		for pi := range w.prods {
+			p := &w.prods[pi]
+			sh.th.Elapse(e.Over.CopySetup)
+			pres := append(sh.presBuf[:0], b1.Done(), p.srcState.lastWrite)
+			if p.chain {
+				pres = append(pres, st.pairSyncFor(cpl.id, p.pairIdx-1, iter).done)
+			}
+			ev := e.Sim.CopyBytes(p.srcNode, p.dstNode, p.bytes, e.Sim.Merge(pres...), p.body)
+			sh.presBuf = pres[:0]
+			if p.reduce && !st.plan.Prune.SkipDone(cpl.id, p.pairIdx) {
+				st.connect(ev, st.pairSyncFor(cpl.id, p.pairIdx, iter).done)
+			}
+			p.srcState.readers = append(p.srcState.readers, ev)
+			copyEvs = append(copyEvs, ev)
+		}
+	}
+	copyEvs = append(copyEvs, b1.Done())
+	b2.Arrive(e.Sim.Merge(copyEvs...))
+	sh.wrBuf = copyEvs[:0]
+	sh.validateAfter(b2, cpl.works)
+}
+
+// replayPhaseBarrier issues one exchange phase under the barrier lowering
+// with per-destination aggregation. A merged message spans the phase's
+// copy ops, so its precondition spans their release barriers: the shard
+// arrives at EVERY phase op's first barrier up front — without threading
+// one op's exit barrier into the next op's entry arrival, which would
+// cycle the merged copies against the barriers — then issues the merged
+// transfers (waiting all the phase's first barriers, source validity, and
+// cross-shard fold-chain links), then arrives at every op's second barrier
+// with the phase's merged completions. Each op's second barrier thus waits
+// the whole phase's copies, not only its own members': over-synchronized
+// relative to the unaggregated lowering, but only ever tighter, never a
+// reordering. Reduce members still trigger their per-pair done events,
+// which carry the cross-shard fold order.
+func (sh *shard) replayPhaseBarrier(pp *phasePlan, iter int) {
+	st := sh.st
+	e := st.e
+	b1done := make([]realm.Event, 0, len(pp.cons))
+	for ci := range pp.cons {
+		b1 := st.barrierFor(pp.cons[ci].id, iter, 0)
+		sh.arriveRelease(b1, pp.cons[ci].works)
+		b1done = append(b1done, b1.Done())
+	}
+
+	copyEvs := make([]realm.Event, 0, len(pp.aggs))
+	for ai := range pp.aggs {
+		ap := &pp.aggs[ai]
+		sh.th.Elapse(e.Over.CopySetup)
+		pres := append(sh.presBuf[:0], b1done...)
+		for mi := range ap.members {
+			m := &ap.members[mi]
+			pres = append(pres, m.srcState.lastWrite)
+			if m.chain {
+				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
+			}
+		}
+		ev := e.copyAgg(ap.srcNode, ap.dstNode, ap.bytes, len(ap.members), e.Sim.Merge(pres...), ap.body)
+		sh.presBuf = pres[:0]
+		for mi := range ap.members {
+			m := &ap.members[mi]
+			m.srcState.readers = append(m.srcState.readers, ev)
+			if m.reduce {
+				st.connect(ev, st.pairSyncFor(m.copyID, m.pairIdx, iter).done)
+			}
+		}
+		copyEvs = append(copyEvs, ev)
+	}
+
+	for ci := range pp.cons {
+		b2 := st.barrierFor(pp.cons[ci].id, iter, 1)
+		arr := append(sh.evBuf[:0], copyEvs...)
+		arr = append(arr, b1done[ci])
+		b2.Arrive(e.Sim.Merge(arr...))
+		sh.evBuf = arr[:0]
+		sh.validateAfter(b2, pp.cons[ci].works)
+	}
 }

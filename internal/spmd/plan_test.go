@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cr"
@@ -9,9 +10,9 @@ import (
 	"repro/internal/realm"
 )
 
-// runCRTrace runs the program under SPMD with tracing on or off and
-// returns the result plus the trace counters.
-func runCRTrace(t *testing.T, prog *ir.Program, nodes, shards int, sync cr.SyncMode, mode ir.ExecMode, noTrace bool) (*Result, TraceStats) {
+// runCRPlan runs the program under SPMD and returns the result plus the
+// shard-plan counters.
+func runCRPlan(t *testing.T, prog *ir.Program, nodes, shards int, sync cr.SyncMode, mode ir.ExecMode) (*Result, TraceStats) {
 	t.Helper()
 	plans, err := CompileAll(prog, cr.Options{NumShards: shards, Sync: sync})
 	if err != nil {
@@ -19,7 +20,6 @@ func runCRTrace(t *testing.T, prog *ir.Program, nodes, shards int, sync cr.SyncM
 	}
 	sim := realm.MustNewSim(testConfig(nodes))
 	eng := New(sim, prog, mode, plans)
-	eng.NoTrace = noTrace
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -27,12 +27,32 @@ func runCRTrace(t *testing.T, prog *ir.Program, nodes, shards int, sync cr.SyncM
 	return res, eng.TraceStats()
 }
 
-// TestPlanReplayMatchesInterpreted is the SPMD half of the tentpole
-// guarantee: shard-plan replay must engage (one plan per shard, every
-// iteration replayed) and leave the schedule — virtual time, DES stats, and
-// Real-mode region contents — bitwise identical to the interpreted run.
-// Covers halo exchange (Figure2), region reduction with fold chains, and
-// scalar reduction with future-valued scalars.
+// requirePlanCounters asserts the one-path counters of a fault-free run:
+// one shared capture, one specialization per shard, and every
+// shard-iteration replayed.
+func requirePlanCounters(t *testing.T, label string, stats TraceStats, shards, trip int) {
+	t.Helper()
+	want := TraceStats{Captures: 1, Specializations: shards, ReplayedIters: shards * trip}
+	if stats != want {
+		t.Errorf("%s: plan counters %+v, want %+v", label, stats, want)
+	}
+}
+
+// interpretedSchedules are the schedules the per-iteration interpreter
+// issued for these programs (4 shards on 4 nodes, p2p), recorded before it
+// was removed; Real and Modeled mode issue the same schedule.
+var interpretedSchedules = map[string]string{
+	"figure2":      "elapsed=219238 msgs=54 bytes=2016 local=82 tasks=288 events=628",
+	"regionReduce": "elapsed=57189 msgs=21 bytes=1080 local=15 tasks=72 events=168",
+	"scalarSum":    "elapsed=45648 msgs=6 bytes=240 local=2 tasks=32 events=73",
+}
+
+// TestPlanReplayMatchesInterpreted: shard-plan replay engages (one plan
+// per shard, every iteration replayed) and reproduces the interpreted
+// schedule — virtual time and DES stats — bitwise, with Real-mode stores
+// equal to sequential semantics. Covers halo exchange (Figure2), region
+// reduction with fold chains, and scalar reduction with future-valued
+// scalars.
 func TestPlanReplayMatchesInterpreted(t *testing.T) {
 	const shards, nodes = 4, 4
 	for _, tc := range []struct {
@@ -45,101 +65,61 @@ func TestPlanReplayMatchesInterpreted(t *testing.T) {
 		{"scalarSum", func() *ir.Program { return progtest.NewScalarSum(40, 8).Prog }, 2},
 	} {
 		for _, mode := range []ir.ExecMode{ir.ExecReal, ir.ExecModeled} {
-			ref, offStats := runCRTrace(t, tc.build(), nodes, shards, cr.PointToPoint, mode, true)
-			got, stats := runCRTrace(t, tc.build(), nodes, shards, cr.PointToPoint, mode, false)
-
-			if offStats != (TraceStats{}) {
-				t.Fatalf("%s: NoTrace engine built plans: %+v", tc.name, offStats)
-			}
-			if stats.Captures != 1 || stats.Specializations != shards || stats.PerShardCaptures != 0 {
-				t.Errorf("%s mode %v: capture counters %+v, want one shared capture specialized to %d shards", tc.name, mode, stats, shards)
-			}
-			if want := shards * tc.trip; tc.trip > 0 && stats.ReplayedIters != want {
-				t.Errorf("%s mode %v: replayed %d shard-iterations, want %d", tc.name, mode, stats.ReplayedIters, want)
-			}
-			if got.Elapsed != ref.Elapsed {
-				t.Errorf("%s mode %v: Elapsed %d traced, %d untraced", tc.name, mode, got.Elapsed, ref.Elapsed)
-			}
-			if got.Stats != ref.Stats {
-				t.Errorf("%s mode %v: Stats %+v traced, %+v untraced", tc.name, mode, got.Stats, ref.Stats)
-			}
-			if mode == ir.ExecReal {
-				for k, v := range ref.Env {
-					if got.Env[k] != v {
-						t.Errorf("%s: scalar %q = %v traced, %v untraced", tc.name, k, got.Env[k], v)
-					}
-				}
+			label := fmt.Sprintf("%s mode %v", tc.name, mode)
+			got, stats := runCRPlan(t, tc.build(), nodes, shards, cr.PointToPoint, mode)
+			requirePlanCounters(t, label, stats, shards, tc.trip)
+			s := got.Stats
+			sched := fmt.Sprintf("elapsed=%d msgs=%d bytes=%d local=%d tasks=%d events=%d",
+				got.Elapsed, s.Messages, s.BytesSent, s.LocalCopies, s.TasksRun, s.Events)
+			if want := interpretedSchedules[tc.name]; sched != want {
+				t.Errorf("%s: schedule %s, interpreted %s", label, sched, want)
 			}
 		}
 	}
 
-	// Real-mode store contents, checked against sequential semantics and the
-	// untraced run on the same program objects.
 	f := progtest.NewFigure2(48, 8, 6)
 	seq := ir.ExecSequential(f.Prog)
-	got, _ := runCRTrace(t, f.Prog, nodes, shards, cr.PointToPoint, ir.ExecReal, false)
+	got, _ := runCRPlan(t, f.Prog, nodes, shards, cr.PointToPoint, ir.ExecReal)
 	assertEqualStores(t, seq.Stores[f.A], got.Stores[f.A], f.A, f.Val)
 	assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
 }
 
-// TestPlanBarrierAblationStaysInterpreted: the barrier lowering is the
-// naive ablation baseline and must keep running the interpreted code path.
-func TestPlanBarrierAblationStaysInterpreted(t *testing.T) {
-	f := progtest.NewFigure2(48, 8, 4)
-	_, stats := runCRTrace(t, f.Prog, 4, 4, cr.BarrierSync, ir.ExecModeled, false)
-	if stats != (TraceStats{}) {
-		t.Fatalf("barrier-sync run should not trace: %+v", stats)
+// TestPlanBarrierReplays: the barrier lowering issues from shard plans
+// too, with the same counters as p2p and stores equal to sequential
+// semantics. Its schedule is pinned by TestBarrierScheduleGolden.
+func TestPlanBarrierReplays(t *testing.T) {
+	const shards, trip = 4, 4
+	f := progtest.NewFigure2(48, 8, trip)
+	seq := ir.ExecSequential(f.Prog)
+	got, stats := runCRPlan(t, f.Prog, 4, shards, cr.BarrierSync, ir.ExecReal)
+	requirePlanCounters(t, "barrier", stats, shards, trip)
+	assertEqualStores(t, seq.Stores[f.A], got.Stores[f.A], f.A, f.Val)
+	assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
+}
+
+// TestPlanTripOneReplaysOnce: a trip-1 loop resolves its plans once and
+// runs them once. Its schedule is pinned by TestLoopShapeScheduleGolden.
+func TestPlanTripOneReplaysOnce(t *testing.T) {
+	const shards = 2
+	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
+		f := progtest.NewFigure2(24, 4, 1)
+		_, stats := runCRPlan(t, f.Prog, 2, shards, sync, ir.ExecModeled)
+		requirePlanCounters(t, fmt.Sprintf("trip-1 %v", sync), stats, shards, 1)
 	}
 }
 
-// TestPlanShortLoopNotTraced: the compiler's loop-boundary marker withholds
-// tracing from loops too short to amortize a plan, and the engine obeys it.
-func TestPlanShortLoopNotTraced(t *testing.T) {
-	f := progtest.NewFigure2(24, 4, 1)
-	plans, err := CompileAll(f.Prog, cr.Options{NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans {
-		if p.Trace.Traceable || p.Trace.Reason == "" {
-			t.Fatalf("trip-1 loop marker = %+v, want untraceable with a reason", p.Trace)
-		}
-	}
-	sim := realm.MustNewSim(testConfig(2))
-	eng := New(sim, f.Prog, ir.ExecModeled, plans)
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.TraceStats(); st != (TraceStats{}) {
-		t.Fatalf("trip-1 loop was traced: %+v", st)
-	}
-
-	f2 := progtest.NewFigure2(24, 4, 4)
-	plans2, err := CompileAll(f2.Prog, cr.Options{NumShards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans2 {
-		if !p.Trace.Traceable {
-			t.Fatalf("trip-4 loop marker = %+v, want traceable", p.Trace)
-		}
-	}
-}
-
-// TestPlanFailoverInvalidates is the SPMD half of the PR 3 invalidation
-// satellite: a crash recovered by shard failover rebuilds the run state,
-// which must discard the captured plans (the placement changed), re-capture
-// under the new placement, and still produce results bitwise identical to
-// the untraced faulty run. Runs with cross-shard sharing disabled so the
-// per-shard capture path is what failover re-exercises; the sharing path
-// (shared capture survives the rebuild and is shipped to the restarted
-// shard) is covered by share_test.go.
+// TestPlanFailoverInvalidates: a crash recovered by shard failover
+// rebuilds the run state, which must discard the shard plans (the
+// placement changed), ship the surviving shared capture to the new
+// placement, re-specialize every shard from it without re-capturing, and
+// still produce stores equal to sequential semantics. Runs the barrier
+// lowering; TestShareFailoverShipsTrace covers p2p.
 func TestPlanFailoverInvalidates(t *testing.T) {
 	const nodes, shards = 4, 4
 	rec := Recovery{CheckpointEvery: 2, MaxRetries: 3, Backoff: realm.Microseconds(50)}
-	run := func(fp *realm.FaultPlan, noTrace bool) (*Result, TraceStats, *progtest.Figure2) {
+	run := func(fp *realm.FaultPlan) (*Result, TraceStats, *progtest.Figure2) {
 		f := progtest.NewFigure2(48, 8, 8)
-		plans, err := CompileAll(f.Prog, cr.Options{NumShards: shards})
+		plans, err := CompileAll(f.Prog, cr.Options{NumShards: shards, Sync: cr.BarrierSync})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,8 +131,6 @@ func TestPlanFailoverInvalidates(t *testing.T) {
 		}
 		eng := New(sim, f.Prog, ir.ExecReal, plans)
 		eng.Recov = rec
-		eng.NoTrace = noTrace
-		eng.NoShare = true
 		res, err := eng.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -162,56 +140,40 @@ func TestPlanFailoverInvalidates(t *testing.T) {
 
 	// Fault-free first, to time the crash mid-run and to pin the baseline:
 	// plans persist across checkpointed epochs of one run state.
-	res0, stats0, _ := run(nil, false)
-	if stats0.PerShardCaptures != shards || stats0.Captures != 0 {
-		t.Fatalf("fault-free NoShare recovery run captured %+v, want %d per-shard plans across all epochs and no shared capture", stats0, shards)
-	}
+	res0, stats0, _ := run(nil)
+	requirePlanCounters(t, "fault-free barrier recovery run", stats0, shards, 8)
 
 	fp := &realm.FaultPlan{Crashes: []realm.NodeCrash{{Node: 2, At: res0.Elapsed / 2}}}
-	ref, refStats, fRef := run(fp, true)
-	got, stats, f := run(fp, false)
+	got, stats, f := run(fp)
+	if got.Faults == nil || len(got.Faults.Crashes) != 1 || got.Faults.Restarts < 1 {
+		t.Fatalf("fault report = %+v, want 1 crash and at least 1 restart", got.Faults)
+	}
+	if stats.Captures != 1 {
+		t.Errorf("failover re-captured: %+v", stats)
+	}
+	if stats.Invalidations == 0 || stats.Specializations <= shards {
+		t.Errorf("failover did not invalidate and re-specialize plans: %+v", stats)
+	}
+	if stats.Ships == 0 || stats.ShippedBytes == 0 {
+		t.Errorf("barrier failover shipped nothing: %+v", stats)
+	}
 
-	if ref.Faults == nil || len(ref.Faults.Crashes) != 1 || ref.Faults.Restarts < 1 {
-		t.Fatalf("fault report = %+v, want 1 crash and at least 1 restart", ref.Faults)
-	}
-	if refStats != (TraceStats{}) {
-		t.Fatalf("NoTrace faulty run built plans: %+v", refStats)
-	}
-	// The failover rebuilt the run state, so every surviving shard
-	// re-captured under the new placement, and the discarded plans were
-	// counted as invalidations.
-	if stats.PerShardCaptures <= shards {
-		t.Errorf("failover did not invalidate plans: %d built, want > %d", stats.PerShardCaptures, shards)
-	}
-	if stats.Invalidations == 0 {
-		t.Errorf("failover rebuild discarded no plans: %+v", stats)
-	}
-	if stats.Ships != 0 || stats.ShippedBytes != 0 {
-		t.Errorf("NoShare run shipped traces: %+v", stats)
-	}
-	if got.Elapsed != ref.Elapsed || got.Stats != ref.Stats {
-		t.Errorf("traced faulty run diverged: %v/%+v vs %v/%+v", got.Elapsed, got.Stats, ref.Elapsed, ref.Stats)
-	}
-	assertEqualStores(t, ref.Stores[fRef.A], got.Stores[f.A], f.A, f.Val)
-	assertEqualStores(t, ref.Stores[fRef.B], got.Stores[f.B], f.B, f.Val)
-
-	// And the recovered contents still match sequential semantics.
 	refSeq := progtest.NewFigure2(48, 8, 8)
 	seq := ir.ExecSequential(refSeq.Prog)
 	assertEqualStores(t, seq.Stores[refSeq.A], got.Stores[f.A], f.A, f.Val)
 	assertEqualStores(t, seq.Stores[refSeq.B], got.Stores[f.B], f.B, f.Val)
 }
 
-// TestPlanReplayDeterministic: two traced runs are byte-identical.
+// TestPlanReplayDeterministic: two runs are byte-identical.
 func TestPlanReplayDeterministic(t *testing.T) {
 	run := func() (realm.Time, realm.Stats) {
 		f := progtest.NewFigure2(48, 8, 6)
-		res, _ := runCRTrace(t, f.Prog, 4, 4, cr.PointToPoint, ir.ExecModeled, false)
+		res, _ := runCRPlan(t, f.Prog, 4, 4, cr.PointToPoint, ir.ExecModeled)
 		return res.Elapsed, res.Stats
 	}
 	e1, s1 := run()
 	e2, s2 := run()
 	if e1 != e2 || s1 != s2 {
-		t.Fatalf("traced SPMD run not deterministic: %v/%+v vs %v/%+v", e1, s1, e2, s2)
+		t.Fatalf("SPMD run not deterministic: %v/%+v vs %v/%+v", e1, s1, e2, s2)
 	}
 }

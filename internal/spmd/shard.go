@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cr"
-	"repro/internal/geometry"
-	"repro/internal/intersect"
 	"repro/internal/ir"
 	"repro/internal/realm"
 	"repro/internal/region"
@@ -198,9 +196,11 @@ type shard struct {
 
 // runRange replicates the loop's control flow over the shard's owned
 // colors for iterations [lo, hi) — the whole trip when recovery is off,
-// one epoch of it otherwise. The scalar environment starts from the run
-// state's current bindings (the loop entry environment, or the restored
-// checkpoint's) and shard 0 publishes them back at the end of the range.
+// one epoch of it otherwise. The shard resolves its plan once and replays
+// it every iteration (see plan.go). The scalar environment starts from the
+// run state's current bindings (the loop entry environment, or the
+// restored checkpoint's) and shard 0 publishes them back at the end of the
+// range.
 func (sh *shard) runRange(lo, hi int) {
 	st := sh.st
 	plan := st.plan
@@ -211,11 +211,16 @@ func (sh *shard) runRange(lo, hi int) {
 	if window < 1 {
 		window = 1
 	}
-	// With tracing on, the compiled body is resolved once into a per-shard
-	// plan and every iteration replays it; otherwise each iteration is
-	// interpreted against the shard table. Both paths issue the identical
-	// Sim call sequence (see plan.go).
 	sp := st.planFor(sh)
+	// Replayed iterations are tallied here and published once, so shard
+	// agents do not contend on planMu every iteration. The publish is
+	// deferred so a shard killed by failover still reports what it issued.
+	replayed := 0
+	defer func() {
+		e.planMu.Lock()
+		e.traceStats.ReplayedIters += replayed
+		e.planMu.Unlock()
+	}()
 	n := hi - lo
 	iterDone := make([]realm.Event, n)
 	for i := 0; i < n; i++ {
@@ -225,560 +230,15 @@ func (sh *shard) runRange(lo, hi int) {
 		}
 		sh.env.set(plan.Loop.Var, float64(t))
 		sh.ops = sh.ops[:0]
-		if sp != nil {
-			sh.replayIter(sp, t)
-		} else {
-			for bi, op := range plan.Body {
-				switch {
-				case op.Set != nil:
-					sh.env.set(op.Set.Name, op.Set.Expr(sh.env))
-				case op.Launch != nil:
-					sh.doLaunch(op.Launch, t)
-				case op.Copy != nil:
-					switch {
-					case plan.Opts.Agg:
-						// Aggregation runs the whole exchange phase at its
-						// head op; the phase's remaining copies were already
-						// issued there.
-						if phIdx := plan.Spec.PhaseOf[bi]; plan.Spec.Phases[phIdx].Start == bi {
-							if plan.Opts.Sync == cr.BarrierSync {
-								sh.doPhaseBarrierAgg(phIdx, t)
-							} else {
-								sh.doPhaseP2PAgg(phIdx, t)
-							}
-						}
-					case plan.Opts.Sync == cr.BarrierSync:
-						sh.doCopyBarrier(op.Copy, t)
-					default:
-						sh.doCopyP2P(op.Copy, t)
-					}
-				}
-			}
-		}
+		sh.replayIter(sp, t)
+		replayed++
 		iterDone[i] = e.Sim.Merge(sh.ops...)
 		st.recordIter(t, iterDone[i])
 	}
-	for i := maxInt(0, n-window); i < n; i++ {
+	for i := max(0, n-window); i < n; i++ {
 		sh.th.WaitEvent(iterDone[i])
 	}
 	if sh.me == 0 {
 		st.curEnv = sh.env.snapshot()
 	}
-}
-
-// doLaunch issues the shard's owned tasks of one index launch. Shard-local
-// issue cost replaces the central control thread's — the core of the
-// optimization.
-func (sh *shard) doLaunch(l *ir.Launch, iter int) {
-	st := sh.st
-	e := st.e
-	owned := st.plan.Owned[sh.me]
-	nodeID := st.nodeOfShard(sh.me)
-
-	scalars := make([]float64, len(l.ScalarArgs))
-	for i, ex := range l.ScalarArgs {
-		scalars[i] = ex(sh.env) // forces future-valued scalars on this shard
-	}
-
-	// localDone/ctxs feed only the launch-level scalar reduction; skip the
-	// bookkeeping entirely for launches without one.
-	reduce := l.Reduce != nil
-	localDone := sh.doneBuf[:0]
-	ctxs := sh.ctxBuf[:0]
-	for _, col := range owned {
-		sh.th.Elapse(e.Over.ShardLaunchBase)
-		pres := sh.presBuf[:0]
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			switch param.Priv {
-			case ir.PrivRead:
-				pres = append(pres, sh.table.get(instKey{a.Part.ID(), col}).lastWrite)
-			case ir.PrivReadWrite:
-				s := sh.table.get(instKey{a.Part.ID(), col})
-				pres = append(pres, s.lastWrite)
-				pres = append(pres, s.readers...)
-			case ir.PrivReduce:
-				s := sh.table.getTemp(tempKey{l, ai, col})
-				pres = append(pres, s.lastWrite)
-				pres = append(pres, s.readers...)
-			}
-		}
-		vol := l.Args[l.Task.CostArg].At(col).Volume()
-		dur := realm.Time(l.Task.Cost(vol) / float64(e.Over.KernelCores))
-		if e.Over.Noise != nil {
-			dur = realm.Time(float64(dur) * e.Over.Noise(st.nodeOfShard(sh.me), iter))
-		}
-
-		var body func()
-		var ctx *ir.TaskCtx
-		if e.Mode == ir.ExecReal {
-			ctx = sh.buildCtx(l, col, scalars)
-			kernel := l.Task.Kernel
-			reinits := sh.tempReinits(l, col)
-			body = func() {
-				for _, re := range reinits {
-					re()
-				}
-				if kernel != nil {
-					kernel(ctx)
-				}
-			}
-		}
-		done := e.Sim.LaunchOn(nodeID, e.Sim.Merge(pres...), dur, body)
-		sh.presBuf = pres[:0]
-
-		for ai, a := range l.Args {
-			param := l.Task.Params[ai]
-			switch param.Priv {
-			case ir.PrivRead:
-				s := sh.table.get(instKey{a.Part.ID(), col})
-				s.readers = append(s.readers, done)
-			case ir.PrivReadWrite:
-				s := sh.table.get(instKey{a.Part.ID(), col})
-				s.lastWrite = done
-				s.readers = s.readers[:0]
-			case ir.PrivReduce:
-				s := sh.table.getTemp(tempKey{l, ai, col})
-				s.lastWrite = done
-				s.readers = s.readers[:0]
-			}
-		}
-		if reduce {
-			localDone = append(localDone, done)
-			ctxs = append(ctxs, ctx)
-		}
-		sh.ops = append(sh.ops, done)
-	}
-	sh.doneBuf, sh.ctxBuf = localDone[:0], ctxs[:0]
-
-	if l.Reduce != nil {
-		// One contribution per task color (not per shard): the collective
-		// folds values in participant-index order, so indexing by global
-		// color keeps the fold order — and hence the floating-point result —
-		// bitwise identical to the sequential semantics.
-		coll := st.collFor(l, iter, l.Reduce.Op)
-		op := l.Reduce.Op
-		for k, col := range owned {
-			ctx := ctxs[k]
-			coll.Contribute(st.plan.ColorIdx[col], localDone[k], func() float64 {
-				if ctx == nil {
-					return op.Identity()
-				}
-				return ctx.Return
-			})
-		}
-		sh.env.setFuture(l.Reduce.Into, coll.Done(), coll.Result)
-		sh.ops = append(sh.ops, coll.Done())
-	}
-}
-
-// buildCtx assembles the Real-mode task context over instance stores;
-// reduce arguments get persistent per-(op,arg,color) temporaries that the
-// task body re-initializes to the identity each iteration.
-func (sh *shard) buildCtx(l *ir.Launch, col geometry.Point, scalars []float64) *ir.TaskCtx {
-	st := sh.st
-	ctx := &ir.TaskCtx{Color: col, Scalars: scalars}
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		sub := a.Part.Sub(col)
-		if param.Priv == ir.PrivReduce {
-			buf := st.tempStore(tempKey{l, ai, col}, sub)
-			ctx.Args = append(ctx.Args, ir.NewPhysArg(sub, buf, param))
-		} else {
-			ctx.Args = append(ctx.Args, ir.NewPhysArg(sub, st.inst[instKey{a.Part.ID(), col}], param))
-		}
-	}
-	return ctx
-}
-
-// tempReinits returns closures re-initializing the launch's reduce
-// temporaries to the identity (run at task start, §4.3).
-func (sh *shard) tempReinits(l *ir.Launch, col geometry.Point) []func() {
-	var out []func()
-	for ai, a := range l.Args {
-		param := l.Task.Params[ai]
-		if param.Priv != ir.PrivReduce {
-			continue
-		}
-		// Resolve the store now (buildCtx has already created it) rather
-		// than at body-run time: kernel bodies run concurrently on the
-		// native backend and must not touch the shared temps map.
-		buf := sh.st.tempStore(tempKey{l, ai, col}, a.Part.Sub(col))
-		fields, op := param.Fields, param.Op
-		out = append(out, func() {
-			for _, f := range fields {
-				buf.Fill(f, op.Identity())
-			}
-		})
-	}
-	return out
-}
-
-// doCopyP2P executes one copy op under point-to-point synchronization
-// (§3.4). The shard acts as consumer for pair groups whose destination it
-// owns (computing the write-after-read release and registering arrivals)
-// and as producer for pairs whose source it owns (issuing the actual
-// transfers). Reduction applications to one destination chain in source
-// order for deterministic folding. Each shard walks only its precomputed
-// slice of the pair list.
-func (sh *shard) doCopyP2P(cp *cr.CopyOp, iter int) {
-	st := sh.st
-	e := st.e
-	pairs := cp.Pairs
-	prune := st.plan.Prune
-	for _, work := range st.copyWork(cp.ID, sh.me) {
-		if work.Consumer {
-			dstCol := pairs[work.GroupStart].Dst
-			s := sh.table.get(instKey{cp.Dst.ID(), dstCol})
-			rel := append(sh.evBuf[:0], s.readers...)
-			rel = append(rel, s.lastWrite)
-			release := e.Sim.Merge(rel...)
-			newWrites := append(sh.wrBuf[:0], s.lastWrite)
-			for k := work.GroupStart; k < work.GroupEnd; k++ {
-				ps := st.pairSyncFor(cp.ID, k, iter)
-				if !prune.SkipWar(cp.ID, k) {
-					st.connect(release, ps.war)
-				}
-				if !prune.SkipDone(cp.ID, k) {
-					newWrites = append(newWrites, ps.done)
-					sh.ops = append(sh.ops, ps.done)
-				}
-			}
-			s.lastWrite = e.Sim.Merge(newWrites...)
-			s.readers = s.readers[:0]
-			sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
-		}
-		for _, k := range work.ProdPairs {
-			pr := pairs[k]
-			ps := st.pairSyncFor(cp.ID, k, iter)
-			sh.th.Elapse(e.Over.CopySetup)
-			pres := sh.presBuf[:0]
-			if !prune.SkipWar(cp.ID, k) {
-				pres = append(pres, ps.war)
-			}
-			var body func()
-			var ev realm.Event
-			if cp.Reduce == region.ReduceNone {
-				s := sh.table.get(instKey{cp.Src.ID(), pr.Src})
-				pres = append(pres, s.lastWrite)
-				if e.Mode == ir.ExecReal {
-					src := st.inst[instKey{cp.Src.ID(), pr.Src}]
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, overlap := cp.Fields, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.CopyFieldFrom(src, f, overlap)
-						}
-					}
-				}
-				ev = sh.issueCopy(pr, cp, pres, body)
-				s.readers = append(s.readers, ev)
-			} else {
-				ts := sh.table.getTemp(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src})
-				pres = append(pres, ts.lastWrite)
-				if k > work.GroupStart && !prune.SkipChain(cp.ID, k) {
-					// Chain folds into this destination in source order;
-					// the predecessor may belong to another shard — the
-					// done event is shared state.
-					pres = append(pres, st.pairSyncFor(cp.ID, k-1, iter).done)
-				}
-				if e.Mode == ir.ExecReal {
-					buf := st.tempStore(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}, cp.Src.Sub(pr.Src))
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, op, overlap := cp.Fields, cp.Reduce, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.ReduceFieldFrom(buf, f, op, overlap)
-						}
-					}
-				}
-				ev = sh.issueCopy(pr, cp, pres, body)
-				ts.readers = append(ts.readers, ev)
-			}
-			sh.presBuf = pres[:0]
-			if prune.SkipDone(cp.ID, k) {
-				// Done pruned: the copy's own completion joins the producer's
-				// iteration merge so loop-end quiescence still covers the
-				// transfer; nothing triggers or waits on ps.done.
-				sh.ops = append(sh.ops, ev)
-			} else {
-				st.connect(ev, ps.done)
-				sh.ops = append(sh.ops, ps.done)
-			}
-		}
-	}
-}
-
-// issueCopy models and (in Real mode) performs one pair's data movement.
-func (sh *shard) issueCopy(pr intersect.Pair, cp *cr.CopyOp, pres []realm.Event, body func()) realm.Event {
-	st := sh.st
-	e := st.e
-	bytes := pr.Overlap.Volume() * e.Over.EltBytes * int64(len(cp.Fields))
-	return e.Sim.CopyBytes(
-		st.ownerNode(pr.Src), st.ownerNode(pr.Dst),
-		bytes, e.Sim.Merge(pres...), body)
-}
-
-// doPhaseP2PAgg executes one exchange phase under point-to-point
-// synchronization with per-destination aggregation (cr.Options.Agg). The
-// consumer side is the unaggregated lowering verbatim, op by op in body
-// order — the per-pair war/done events survive coalescing, so consumers
-// release and observe exactly the same sync structure and are oblivious to
-// how producers batch. The producer side then issues ONE merged transfer
-// per (this shard, destination shard) group over the whole phase:
-// preconditions are the union of the members' wars, source validity, and
-// cross-shard fold-chain links (a same-shard chain predecessor is a member
-// of the same group, ordered by the merged body's in-order member writes
-// instead), the payload is the summed member bytes, and the single
-// completion event fans out to every member's done. Pruning never composes
-// with aggregation (Engine.Run rejects the combination), so this path has
-// no Skip checks.
-func (sh *shard) doPhaseP2PAgg(phIdx, iter int) {
-	st := sh.st
-	e := st.e
-	ph := &st.plan.Spec.Phases[phIdx]
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := st.plan.Body[opIdx].Copy
-		pairs := cp.Pairs
-		for _, work := range st.copyWork(cp.ID, sh.me) {
-			if !work.Consumer {
-				continue
-			}
-			dstCol := pairs[work.GroupStart].Dst
-			s := sh.table.get(instKey{cp.Dst.ID(), dstCol})
-			rel := append(sh.evBuf[:0], s.readers...)
-			rel = append(rel, s.lastWrite)
-			release := e.Sim.Merge(rel...)
-			newWrites := append(sh.wrBuf[:0], s.lastWrite)
-			for k := work.GroupStart; k < work.GroupEnd; k++ {
-				ps := st.pairSyncFor(cp.ID, k, iter)
-				st.connect(release, ps.war)
-				newWrites = append(newWrites, ps.done)
-				sh.ops = append(sh.ops, ps.done)
-			}
-			s.lastWrite = e.Sim.Merge(newWrites...)
-			s.readers = s.readers[:0]
-			sh.evBuf, sh.wrBuf = rel[:0], newWrites[:0]
-		}
-	}
-	aggs := st.resolvePhaseAggs(sh, ph, st.interpAggBytes)
-	sh.issueAggGroups(aggs, iter)
-}
-
-// issueAggGroups issues the shard's coalesced transfers of one exchange
-// phase under the p2p lowering: one copyAgg per group, then the done
-// fan-out. Members carry their own op's copy ID — phase groups span copy
-// ops, and the per-pair sync slots stay keyed by the owning op. Shared by
-// interpretation (which resolves the groups fresh each iteration) and
-// replay (which resolves them once at capture); both issue the identical
-// Sim call sequence.
-func (sh *shard) issueAggGroups(aggs []copyAggPlan, iter int) {
-	st := sh.st
-	e := st.e
-	for ai := range aggs {
-		ap := &aggs[ai]
-		// One setup charge per group, not per member: batching the issue
-		// overhead is half the point of coalescing.
-		sh.th.Elapse(e.Over.CopySetup)
-		pres := sh.presBuf[:0]
-		for mi := range ap.members {
-			m := &ap.members[mi]
-			pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx, iter).war)
-			pres = append(pres, m.srcState.lastWrite)
-			if m.chain {
-				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
-			}
-		}
-		ev := e.copyAgg(ap.srcNode, ap.dstNode, ap.bytes, len(ap.members), e.Sim.Merge(pres...), ap.body)
-		sh.presBuf = pres[:0]
-		for mi := range ap.members {
-			m := &ap.members[mi]
-			m.srcState.readers = append(m.srcState.readers, ev)
-			ps := st.pairSyncFor(m.copyID, m.pairIdx, iter)
-			st.connect(ev, ps.done)
-			sh.ops = append(sh.ops, ps.done)
-		}
-	}
-}
-
-// doCopyBarrier executes one copy op under the naive barrier lowering of
-// Figure 4c: a global barrier protects write-after-read, the copies run,
-// and a second barrier protects read-after-write. Kept as the ablation
-// baseline for the point-to-point optimization.
-func (sh *shard) doCopyBarrier(cp *cr.CopyOp, iter int) {
-	st := sh.st
-	e := st.e
-	b1 := st.barrierFor(cp.ID, iter, 0)
-	b2 := st.barrierFor(cp.ID, iter, 1)
-	pairs := cp.Pairs
-	work := st.copyWork(cp.ID, sh.me)
-
-	// Arrive at the first barrier once everything this shard has issued so
-	// far in the iteration has completed, plus all outstanding consumers of
-	// our destination instances (deferred execution means prior-iteration
-	// readers may still be in flight).
-	arr := append(sh.evBuf[:0], sh.ops...)
-	for _, w := range work {
-		if !w.Consumer {
-			continue
-		}
-		s := sh.table.get(instKey{cp.Dst.ID(), pairs[w.GroupStart].Dst})
-		arr = append(arr, s.lastWrite)
-		arr = append(arr, s.readers...)
-	}
-	b1.Arrive(e.Sim.Merge(arr...))
-	sh.evBuf = arr[:0]
-
-	var copyEvs []realm.Event
-	isReduce := cp.Reduce != region.ReduceNone
-	for _, w := range work {
-		for _, k := range w.ProdPairs {
-			pr := pairs[k]
-			sh.th.Elapse(e.Over.CopySetup)
-			pres := []realm.Event{b1.Done()}
-			var body func()
-			if !isReduce {
-				s := sh.table.get(instKey{cp.Src.ID(), pr.Src})
-				pres = append(pres, s.lastWrite)
-				if e.Mode == ir.ExecReal {
-					src := st.inst[instKey{cp.Src.ID(), pr.Src}]
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, overlap := cp.Fields, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.CopyFieldFrom(src, f, overlap)
-						}
-					}
-				}
-				ev := sh.issueCopy(pr, cp, pres, body)
-				s.readers = append(s.readers, ev)
-				copyEvs = append(copyEvs, ev)
-			} else {
-				ts := sh.table.getTemp(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src})
-				pres = append(pres, ts.lastWrite)
-				// Chain folds into one destination in source order across
-				// all producing shards via the shared per-pair done events,
-				// so the fold order is deterministic even under barriers.
-				if k > w.GroupStart && !st.plan.Prune.SkipChain(cp.ID, k) {
-					pres = append(pres, st.pairSyncFor(cp.ID, k-1, iter).done)
-				}
-				if e.Mode == ir.ExecReal {
-					buf := st.tempStore(tempKey{cp.SrcLaunch, cp.SrcArg, pr.Src}, cp.Src.Sub(pr.Src))
-					dst := st.inst[instKey{cp.Dst.ID(), pr.Dst}]
-					fields, op, overlap := cp.Fields, cp.Reduce, pr.Overlap
-					body = func() {
-						for _, f := range fields {
-							dst.ReduceFieldFrom(buf, f, op, overlap)
-						}
-					}
-				}
-				ev := sh.issueCopy(pr, cp, pres, body)
-				if !st.plan.Prune.SkipDone(cp.ID, k) {
-					st.connect(ev, st.pairSyncFor(cp.ID, k, iter).done)
-				}
-				ts.readers = append(ts.readers, ev)
-				copyEvs = append(copyEvs, ev)
-			}
-		}
-	}
-
-	b2.Arrive(e.Sim.Merge(append(copyEvs, b1.Done())...))
-	// All our destination instances become valid after the second barrier.
-	for _, w := range work {
-		if !w.Consumer {
-			continue
-		}
-		s := sh.table.get(instKey{cp.Dst.ID(), pairs[w.GroupStart].Dst})
-		s.lastWrite = e.Sim.Merge(s.lastWrite, b2.Done())
-		s.readers = s.readers[:0]
-	}
-	sh.ops = append(sh.ops, b2.Done())
-}
-
-// doPhaseBarrierAgg executes one exchange phase under the barrier lowering
-// with per-destination aggregation. A merged message spans the phase's
-// copy ops, so its precondition spans their release barriers: the shard
-// arrives at EVERY phase op's first barrier up front — without threading
-// one op's exit barrier into the next op's entry arrival, which would
-// cycle the merged copies against the barriers — then issues the merged
-// transfers (waiting all the phase's first barriers, source validity, and
-// cross-shard fold-chain links), then arrives at every op's second barrier
-// with the phase's merged completions. Each op's second barrier thus waits
-// the whole phase's copies, not only its own members': over-synchronized
-// relative to the unaggregated lowering, but only ever tighter, never a
-// reordering. Reduce members still trigger their per-pair done events,
-// which carry the cross-shard fold order.
-func (sh *shard) doPhaseBarrierAgg(phIdx, iter int) {
-	st := sh.st
-	e := st.e
-	ph := &st.plan.Spec.Phases[phIdx]
-	n := ph.End - ph.Start
-
-	b1done := make([]realm.Event, 0, n)
-	for opIdx := ph.Start; opIdx < ph.End; opIdx++ {
-		cp := st.plan.Body[opIdx].Copy
-		b1 := st.barrierFor(cp.ID, iter, 0)
-		arr := append(sh.evBuf[:0], sh.ops...)
-		for _, w := range st.copyWork(cp.ID, sh.me) {
-			if !w.Consumer {
-				continue
-			}
-			s := sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[w.GroupStart].Dst})
-			arr = append(arr, s.lastWrite)
-			arr = append(arr, s.readers...)
-		}
-		b1.Arrive(e.Sim.Merge(arr...))
-		sh.evBuf = arr[:0]
-		b1done = append(b1done, b1.Done())
-	}
-
-	aggs := st.resolvePhaseAggs(sh, ph, st.interpAggBytes)
-	copyEvs := make([]realm.Event, 0, len(aggs))
-	for ai := range aggs {
-		ap := &aggs[ai]
-		sh.th.Elapse(e.Over.CopySetup)
-		pres := append(sh.presBuf[:0], b1done...)
-		for mi := range ap.members {
-			m := &ap.members[mi]
-			pres = append(pres, m.srcState.lastWrite)
-			if m.chain {
-				pres = append(pres, st.pairSyncFor(m.copyID, m.pairIdx-1, iter).done)
-			}
-		}
-		ev := e.copyAgg(ap.srcNode, ap.dstNode, ap.bytes, len(ap.members), e.Sim.Merge(pres...), ap.body)
-		sh.presBuf = pres[:0]
-		for mi := range ap.members {
-			m := &ap.members[mi]
-			m.srcState.readers = append(m.srcState.readers, ev)
-			if m.reduce {
-				st.connect(ev, st.pairSyncFor(m.copyID, m.pairIdx, iter).done)
-			}
-		}
-		copyEvs = append(copyEvs, ev)
-	}
-
-	for oi, opIdx := 0, ph.Start; opIdx < ph.End; oi, opIdx = oi+1, opIdx+1 {
-		cp := st.plan.Body[opIdx].Copy
-		b2 := st.barrierFor(cp.ID, iter, 1)
-		arr := append(sh.evBuf[:0], copyEvs...)
-		arr = append(arr, b1done[oi])
-		b2.Arrive(e.Sim.Merge(arr...))
-		sh.evBuf = arr[:0]
-		for _, w := range st.copyWork(cp.ID, sh.me) {
-			if !w.Consumer {
-				continue
-			}
-			s := sh.table.get(instKey{cp.Dst.ID(), cp.Pairs[w.GroupStart].Dst})
-			s.lastWrite = e.Sim.Merge(s.lastWrite, b2.Done())
-			s.readers = s.readers[:0]
-		}
-		sh.ops = append(sh.ops, b2.Done())
-	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,7 @@
 package spmd
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/cr"
@@ -10,105 +10,51 @@ import (
 	"repro/internal/realm"
 )
 
-// runCRShare runs the program under SPMD with cross-shard sharing on or
-// off (tracing always on) and returns the result plus the trace counters.
-func runCRShare(t *testing.T, prog *ir.Program, nodes, shards int, mode ir.ExecMode, noShare bool) (*Result, TraceStats) {
-	t.Helper()
-	plans, err := CompileAll(prog, cr.Options{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := realm.MustNewSim(testConfig(nodes))
-	eng := New(sim, prog, mode, plans)
-	eng.NoShare = noShare
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, eng.TraceStats()
-}
-
-// TestShareSingleCapture is the tentpole counter guarantee: with sharing
-// on, plan capture is O(1) per run state — exactly one shared capture,
-// specialized to every shard — for any shard count, and the schedule is
-// bitwise identical to both the per-shard-capture run and the untraced
-// run.
+// TestShareSingleCapture is the counter guarantee: plan capture is O(1)
+// per run state — exactly one shared capture, specialized to every shard —
+// for any shard count, and the stores equal sequential semantics.
 func TestShareSingleCapture(t *testing.T) {
+	const trip = 6
 	for _, shards := range []int{2, 4, 8} {
-		build := func() *ir.Program { return progtest.NewFigure2(48, 8, 6).Prog }
 		for _, mode := range []ir.ExecMode{ir.ExecModeled, ir.ExecReal} {
-			shared, stats := runCRShare(t, build(), shards, shards, mode, false)
-			perShard, offStats := runCRShare(t, build(), shards, shards, mode, true)
-			untraced, _ := runCRTrace(t, build(), shards, shards, cr.PointToPoint, mode, true)
-
-			if stats.Captures != 1 || stats.Specializations != shards || stats.PerShardCaptures != 0 {
-				t.Errorf("shards=%d mode %v: counters %+v, want exactly 1 capture and %d specializations", shards, mode, stats, shards)
-			}
-			if offStats.PerShardCaptures != shards || offStats.Captures != 0 {
-				t.Errorf("shards=%d mode %v: NoShare counters %+v, want %d per-shard captures", shards, mode, offStats, shards)
-			}
-			if stats.Ships != 0 || stats.ShippedBytes != 0 {
-				t.Errorf("shards=%d mode %v: fault-free run shipped traces: %+v", shards, mode, stats)
-			}
-			for _, ref := range []*Result{perShard, untraced} {
-				if shared.Elapsed != ref.Elapsed || shared.Stats != ref.Stats {
-					t.Errorf("shards=%d mode %v: shared schedule diverged: %v/%+v vs %v/%+v",
-						shards, mode, shared.Elapsed, shared.Stats, ref.Elapsed, ref.Stats)
-				}
+			f := progtest.NewFigure2(48, 8, trip)
+			seq := ir.ExecSequential(f.Prog)
+			got, stats := runCRPlan(t, f.Prog, shards, shards, cr.PointToPoint, mode)
+			requirePlanCounters(t, fmt.Sprintf("shards=%d mode %v", shards, mode), stats, shards, trip)
+			if mode == ir.ExecReal {
+				assertEqualStores(t, seq.Stores[f.A], got.Stores[f.A], f.A, f.Val)
+				assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
 			}
 		}
-
-		// Real-mode store contents against sequential semantics.
-		f := progtest.NewFigure2(48, 8, 6)
-		seq := ir.ExecSequential(f.Prog)
-		got, _ := runCRShare(t, f.Prog, shards, shards, ir.ExecReal, false)
-		assertEqualStores(t, seq.Stores[f.A], got.Stores[f.A], f.A, f.Val)
-		assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
 	}
 }
 
-// TestShareRaggedFallsBack is the corner case: a partition whose owned
-// blocks are unequal (7 colors over 3 shards) is not shareable, so the
-// engine must fall back to per-shard capture, log the compiler's reason
-// exactly once, and still match the untraced schedule.
-func TestShareRaggedFallsBack(t *testing.T) {
-	const shards, nodes = 3, 3
-	build := func() *ir.Program { return progtest.NewFigure2(42, 7, 6).Prog }
-
-	plans, err := CompileAll(build(), cr.Options{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range plans {
-		if p.Spec.Share.Shareable || p.Spec.Share.Reason == "" {
-			t.Fatalf("ragged partition marked %+v, want unshareable with a reason", p.Spec.Share)
+// TestShareRaggedSpecializes is the corner case: a partition whose owned
+// blocks are unequal (7 colors over 3 shards) specializes the shared
+// capture like any other — owned color k of shard s is still
+// Domain[OwnedBase[s]+k] — under both lowerings, with and without
+// aggregation, and its stores equal sequential semantics. The schedules
+// are pinned by TestLoopShapeScheduleGolden.
+func TestShareRaggedSpecializes(t *testing.T) {
+	const shards, nodes, trip = 3, 3, 6
+	for _, sync := range []cr.SyncMode{cr.PointToPoint, cr.BarrierSync} {
+		for _, agg := range []bool{false, true} {
+			label := fmt.Sprintf("ragged %v agg=%v", sync, agg)
+			f := progtest.NewFigure2(42, 7, trip)
+			seq := ir.ExecSequential(f.Prog)
+			plans, err := CompileAll(f.Prog, cr.Options{NumShards: shards, Sync: sync, Agg: agg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := New(realm.MustNewSim(testConfig(nodes)), f.Prog, ir.ExecReal, plans)
+			got, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requirePlanCounters(t, label, eng.TraceStats(), shards, trip)
+			assertEqualStores(t, seq.Stores[f.A], got.Stores[f.A], f.A, f.Val)
+			assertEqualStores(t, seq.Stores[f.B], got.Stores[f.B], f.B, f.Val)
 		}
-	}
-
-	var logged []string
-	sim := realm.MustNewSim(testConfig(nodes))
-	prog := build()
-	plans, err = CompileAll(prog, cr.Options{NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(sim, prog, ir.ExecModeled, plans)
-	eng.ShareLog = func(msg string) { logged = append(logged, msg) }
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := eng.TraceStats()
-	if stats.Captures != 0 || stats.Specializations != 0 || stats.PerShardCaptures != shards {
-		t.Errorf("ragged counters %+v, want %d per-shard captures and no shared capture", stats, shards)
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "ragged") {
-		t.Errorf("fallback log = %q, want exactly one message naming the ragged partition", logged)
-	}
-
-	ref, _ := runCRTrace(t, build(), nodes, shards, cr.PointToPoint, ir.ExecModeled, true)
-	if res.Elapsed != ref.Elapsed || res.Stats != ref.Stats {
-		t.Errorf("ragged fallback schedule diverged: %v/%+v vs %v/%+v", res.Elapsed, res.Stats, ref.Elapsed, ref.Stats)
 	}
 }
 
@@ -142,9 +88,7 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 	}
 
 	res0, stats0, _ := run(nil)
-	if stats0.Captures != 1 || stats0.PerShardCaptures != 0 {
-		t.Fatalf("fault-free counters %+v, want exactly one shared capture", stats0)
-	}
+	requirePlanCounters(t, "fault-free", stats0, shards, 8)
 	if res0.Stats.TraceShips != 0 {
 		t.Fatalf("fault-free run shipped traces: %+v", res0.Stats)
 	}
@@ -157,7 +101,7 @@ func TestShareFailoverShipsTrace(t *testing.T) {
 	}
 	// Zero re-capture across the whole faulty run: the shared capture is
 	// keyed on the engine, not the run state, so failover re-specializes.
-	if stats.Captures != 1 || stats.PerShardCaptures != 0 {
+	if stats.Captures != 1 {
 		t.Errorf("failover re-captured: %+v, want the single pre-crash capture only", stats)
 	}
 	if stats.Specializations <= shards {

@@ -86,35 +86,16 @@ type Engine struct {
 	// and executes exactly the plain SPMD schedule.
 	Recov Recovery
 
-	// NoTrace disables shard-plan capture/replay (see plan.go), forcing
-	// every iteration through the interpreter. The schedule is identical
-	// either way; the flag exists for the trace ablation and regression
-	// tests.
-	NoTrace bool
-
-	// NoShare disables cross-shard trace sharing: every shard captures its
-	// own plan directly (the PR 3 behavior, O(shards) capture work per run
-	// state) instead of specializing the engine's one shared capture. The
-	// schedule is identical either way; the flag exists for the -trace-share
-	// ablation and regression tests.
-	NoShare bool
-
-	// ShareLog, when set, receives one diagnostic line per loop that has
-	// sharing enabled but falls back to per-shard capture (e.g. a ragged
-	// shard partition the compiler marked unshareable).
-	ShareLog func(string)
-
 	traceStats TraceStats
 
-	// planMu guards the capture/specialization state (traceStats, shared,
-	// shareLogged, runState.plans): on the native backend shard agents
-	// resolve their plans concurrently. Uncontended on the DES.
+	// planMu guards the specialization state (traceStats, shared,
+	// runState.plans): on the native backend shard agents resolve their
+	// plans concurrently. Uncontended on the DES.
 	planMu sync.Mutex
 
-	// shared caches the per-loop shared captures (see plan.go); shareLogged
-	// dedups the fallback diagnostics. Both reset per Run.
-	shared      map[*cr.Compiled]*sharedTrace
-	shareLogged map[*cr.Compiled]bool
+	// shared caches the per-loop shared captures (see plan.go); reset per
+	// Run.
+	shared map[*cr.Compiled]*sharedTrace
 
 	global    map[*region.Region]*region.Store
 	env       ir.MapEnv
@@ -200,7 +181,6 @@ func (e *Engine) Run() (*Result, error) {
 	e.degraded = false
 	e.traceStats = TraceStats{}
 	e.shared = nil
-	e.shareLogged = nil
 
 	var runErr error
 	ctlDone := false

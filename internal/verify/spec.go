@@ -10,28 +10,26 @@ import (
 
 // CheckSpec statically validates the compiler's specialization tables
 // (cr.SpecTable) against an independent recomputation from the compiled
-// loop's pair lists and ownership. The tables are what makes a shard plan
-// specialized from the shared capture sync-equivalent to one captured
-// directly, so each ingredient of the substitution is re-derived here from
-// first principles and compared:
+// loop's pair lists and ownership. Every shard plan the executor runs is
+// specialized from the shared capture through these tables, so each
+// ingredient of the substitution is re-derived here from first principles
+// and compared:
 //
 //   - block congruence: OwnedBase offsets match the ownership partition,
 //     and every owned color's ColorIdx equals its dense slot (so the
-//     specialized plan binds the same collective indices and cost-table
-//     slots as direct capture);
-//   - the share marker is honest: Shareable exactly when the owned blocks
-//     are uniform, with a reason recorded otherwise;
+//     specialized plan binds the right collective indices and cost-table
+//     slots, ragged partitions included);
 //   - launch cost volumes match the cost argument's subregion volumes;
 //   - pair volumes and endpoint shards match the intersection geometry and
 //     the ownership map (so specialized transfer sizes and node bindings
-//     equal captured ones under any assignment);
+//     are right under any assignment);
 //   - the per-shard work partition equals a from-scratch regrouping of the
 //     pair list (same consumer per group, same producer pair sets, in the
-//     same order) — the work lists every executor path (interpreter,
-//     per-shard capture, specialization) walks.
+//     same order) — the work lists the executor's shard plans walk.
 //
-// A nil return means every specialized plan is structurally identical to a
-// directly captured one, and therefore issues the same synchronization.
+// A nil return means every specialized plan is structurally identical to
+// one resolved directly from the pair lists, and therefore issues the same
+// synchronization.
 func CheckSpec(c *cr.Compiled) error {
 	if c == nil {
 		return fmt.Errorf("verify: nil compiled loop")
@@ -47,7 +45,6 @@ func CheckSpec(c *cr.Compiled) error {
 		fail("OwnedBase has %d entries, want one per shard (%d)", len(spec.OwnedBase), ns)
 	} else {
 		base := 0
-		uniform := true
 		for s := 0; s < ns; s++ {
 			if spec.OwnedBase[s] != base {
 				fail("OwnedBase[%d] = %d, want %d (running block offset)", s, spec.OwnedBase[s], base)
@@ -58,15 +55,6 @@ func CheckSpec(c *cr.Compiled) error {
 				}
 			}
 			base += len(c.Owned[s])
-			if len(c.Owned[s]) != len(c.Owned[0]) {
-				uniform = false
-			}
-		}
-		if spec.Share.Shareable != uniform {
-			fail("Share.Shareable = %v but uniform owned blocks = %v", spec.Share.Shareable, uniform)
-		}
-		if !spec.Share.Shareable && spec.Share.Reason == "" {
-			fail("unshareable plan records no reason")
 		}
 	}
 
